@@ -51,9 +51,6 @@ class AlignmentPath:
     def n_frames(self) -> int:
         return int(self.durations.sum())
 
-    def frame_tokens(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.durations)), self.durations)
-
 
 def _check_instance(ll: np.ndarray, nb: NoteBoundaryConstraint):
     ll = np.asarray(ll, dtype=np.float64)
@@ -205,15 +202,15 @@ def duration_loss(d_target: np.ndarray, log_d_pred, raw: bool = False):
     counts instead.
     """
     d_target = np.asarray(d_target, dtype=np.float64)
-    pv = log_d_pred.data if isinstance(log_d_pred, ad.Tensor) else np.asarray(log_d_pred, dtype=np.float64)
+    pv = ad.value(log_d_pred)
     if d_target.shape != pv.shape:
         raise ValidationError(f"duration_loss: lengths {d_target.shape} and {pv.shape} differ")
     if np.any(d_target < 1):
         raise ValidationError("duration_loss: target durations must be >= 1")
-    if isinstance(log_d_pred, ad.Tensor):
+
+    def body():
         if raw:
             return ad.mean(ad.square(ad.sub(ad.exp(log_d_pred), d_target)))
         return ad.mean(ad.square(ad.sub(log_d_pred, np.log(d_target))))
-    if raw:
-        return float(np.mean((np.exp(pv) - d_target) ** 2))
-    return float(np.mean((pv - np.log(d_target)) ** 2))
+
+    return ad.evaluate(body, log_d_pred)

@@ -14,13 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, active_tape, _check_finite
-
-
-def _val(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
+from .tensor import Tensor, _check_finite, active_tape, value
 
 
 def _make(op: str, parents: tuple, out_data: np.ndarray, vjp) -> Tensor:
@@ -38,7 +32,7 @@ def _binary_vals(op: str, a, b) -> tuple[np.ndarray, np.ndarray]:
     Tensor operands must already have the broadcast result shape; only
     constants may broadcast up to it.
     """
-    av, bv = _val(a), _val(b)
+    av, bv = value(a), value(b)
     try:
         out_shape = np.broadcast_shapes(av.shape, bv.shape)
     except ValueError:
@@ -71,45 +65,45 @@ def mul(a, b) -> Tensor:
 
 
 def leaky_relu(x, slope: float = 0.1) -> Tensor:
-    xv = _val(x)
+    xv = value(x)
     out = np.where(xv > 0, xv, slope * xv)
     return _make("leaky_relu", (x,), out, lambda g: (np.where(xv > 0, g, slope * g),))
 
 
 def tanh(x) -> Tensor:
-    out = np.tanh(_val(x))
+    out = np.tanh(value(x))
     return _make("tanh", (x,), out, lambda g: (g * (1.0 - out * out),))
 
 
 def exp(x) -> Tensor:
-    out = np.exp(_val(x))
+    out = np.exp(value(x))
     return _make("exp", (x,), out, lambda g: (g * out,))
 
 
 def log(x) -> Tensor:
-    xv = _val(x)
+    xv = value(x)
     out = np.log(xv)
     return _make("log", (x,), out, lambda g: (g / xv,))
 
 
 def sqrt(x) -> Tensor:
-    xv = _val(x)
+    xv = value(x)
     out = np.sqrt(xv)
     return _make("sqrt", (x,), out, lambda g: (g * (0.5 / out),))
 
 
 def square(x) -> Tensor:
-    xv = _val(x)
+    xv = value(x)
     return _make("square", (x,), xv * xv, lambda g: (2.0 * xv * g,))
 
 
 def absolute(x) -> Tensor:
-    xv = _val(x)
+    xv = value(x)
     return _make("abs", (x,), np.abs(xv), lambda g: (g * np.sign(xv),))
 
 
 def clamp(x, lo: float | None = None, hi: float | None = None) -> Tensor:
-    xv = _val(x)
+    xv = value(x)
     out = np.clip(xv, lo, hi)
     pass_mask = np.ones_like(xv, dtype=bool)
     if lo is not None:
@@ -124,10 +118,10 @@ def dropout(x, p: float, rng: np.random.Generator | None = None, training: bool 
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        return x if isinstance(x, Tensor) else Tensor(_val(x))
+        return x if isinstance(x, Tensor) else Tensor(value(x))
     if rng is None:
         raise ValueError("dropout: training mode requires a seeded Generator")
-    xv = _val(x)
+    xv = value(x)
     keep = (rng.random(xv.shape) >= p) / (1.0 - p)
     return _make("dropout", (x,), xv * keep, lambda g: (g * keep,))
 
@@ -137,31 +131,31 @@ def dropout(x, p: float, rng: np.random.Generator | None = None, training: bool 
 
 
 def total(x) -> Tensor:
-    xv = _val(x)
+    xv = value(x)
     return _make("sum", (x,), np.asarray(xv.sum()), lambda g: (np.broadcast_to(g, xv.shape).copy(),))
 
 
 def mean(x) -> Tensor:
-    xv = _val(x)
+    xv = value(x)
     n = xv.size
     return _make("mean", (x,), np.asarray(xv.mean()), lambda g: (np.broadcast_to(g / n, xv.shape).copy(),))
 
 
 def reshape(x, shape) -> Tensor:
-    xv = _val(x)
+    xv = value(x)
     out = xv.reshape(shape)
     return _make("reshape", (x,), out, lambda g: (g.reshape(xv.shape),))
 
 
 def transpose(x, axes) -> Tensor:
-    xv = _val(x)
+    xv = value(x)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     return _make("transpose", (x,), xv.transpose(axes).copy(), lambda g: (g.transpose(inv),))
 
 
 def concat(parts, axis: int) -> Tensor:
-    vals = [_val(p) for p in parts]
+    vals = [value(p) for p in parts]
     out = np.concatenate(vals, axis=axis)
     sizes = [v.shape[axis] for v in vals]
     splits = np.cumsum(sizes)[:-1]
@@ -174,7 +168,7 @@ def concat(parts, axis: int) -> Tensor:
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
     """Slice ``length`` entries from ``start`` along ``axis``."""
-    xv = _val(x)
+    xv = value(x)
     if start < 0 or start + length > xv.shape[axis]:
         raise ValueError(
             f"narrow: slice [{start}, {start + length}) out of range for axis {axis} of shape {xv.shape}"
@@ -193,7 +187,7 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
 
 def pad_last(x, before: int, after: int) -> Tensor:
     """Zero-pad along the final axis."""
-    xv = _val(x)
+    xv = value(x)
     width = [(0, 0)] * (xv.ndim - 1) + [(before, after)]
     out = np.pad(xv, width)
     sl = (Ellipsis, slice(before, before + xv.shape[-1]))
@@ -202,7 +196,7 @@ def pad_last(x, before: int, after: int) -> Tensor:
 
 def take_rows(w, ids) -> Tensor:
     """Row gather (embedding lookup): w[ids] for a 2-D table."""
-    wv = _val(w)
+    wv = value(w)
     ids = np.asarray(ids, dtype=np.intp)
     if wv.ndim != 2:
         raise ValueError(f"take_rows: table must be 2-D, got shape {wv.shape}")
@@ -222,7 +216,7 @@ def take_rows(w, ids) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    av, bv = _val(a), _val(b)
+    av, bv = value(a), value(b)
     if av.ndim != 2 or bv.ndim not in (1, 2):
         raise ValueError(f"matmul: unsupported operand ranks {av.ndim} and {bv.ndim}")
     if av.shape[1] != bv.shape[0]:
@@ -244,7 +238,7 @@ def matmul(a, b) -> Tensor:
 
 def add_channel_bias(x, b) -> Tensor:
     """x[..., C, T] + b[C] broadcast over leading/trailing axes."""
-    xv, bv = _val(x), _val(b)
+    xv, bv = value(x), value(b)
     if bv.ndim != 1 or xv.ndim < 2 or xv.shape[-2] != bv.shape[0]:
         raise ValueError(f"add_channel_bias: shapes {xv.shape} and {bv.shape} do not conform")
     out = xv + bv[:, None]
@@ -258,7 +252,7 @@ def add_channel_bias(x, b) -> Tensor:
 
 def add_frame_bias(x, b) -> Tensor:
     """x[B, C, T] + b[B, C, 1]: per-element per-channel bias shared over frames."""
-    xv, bv = _val(x), _val(b)
+    xv, bv = value(x), value(b)
     if xv.ndim != 3 or bv.shape != (xv.shape[0], xv.shape[1], 1):
         raise ValueError(f"add_frame_bias: shapes {xv.shape} and {bv.shape} do not conform")
     return _make("add_frame_bias", (x, b), xv + bv, lambda g: (g, g.sum(axis=2, keepdims=True)))
@@ -293,7 +287,7 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
     padding=None selects same-length symmetric zero padding; an int pads
     both sides explicitly.
     """
-    xv, wv = _val(x), _val(w)
+    xv, wv = value(x), value(w)
     if xv.ndim != 3 or wv.ndim != 3:
         raise ValueError(f"conv1d: expected 3-D input and weight, got {xv.shape} and {wv.shape}")
     B, Ci, T = xv.shape
@@ -327,7 +321,7 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
         ).reshape(B, Co, t_out)
     bv = None
     if bias is not None:
-        bv = _val(bias)
+        bv = value(bias)
         if bv.shape != (Co,):
             raise ValueError(f"conv1d: bias shape {bv.shape} != ({Co},)")
         out = out + bv[:, None]
@@ -361,7 +355,7 @@ def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor:
     Padding is fixed to (K - stride)/2 so the output has exactly T*stride
     frames; requires K >= stride and K - stride even.
     """
-    xv, wv = _val(x), _val(w)
+    xv, wv = value(x), value(w)
     if xv.ndim != 3 or wv.ndim != 3:
         raise ValueError(f"conv_transpose1d: expected 3-D input and weight, got {xv.shape} and {wv.shape}")
     B, Ci, T = xv.shape
@@ -378,7 +372,7 @@ def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor:
         out_full[:, :, j : j + stride * T : stride] += taps[:, :, j, :]
     out = out_full[:, :, pad : pad + stride * T].copy()
     if bias is not None:
-        bv = _val(bias)
+        bv = value(bias)
         if bv.shape != (Co,):
             raise ValueError(f"conv_transpose1d: bias shape {bv.shape} != ({Co},)")
         out = out + bv[:, None]
@@ -398,7 +392,7 @@ def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor:
 def frame_signal(x, frame: int, hop: int) -> Tensor:
     """Frame a 1-D signal into [n_frames, frame] with the shape law
     n_frames = 1 + (len - frame) // hop."""
-    xv = _val(x)
+    xv = value(x)
     if xv.ndim != 1:
         raise ValueError(f"frame_signal: expected 1-D signal, got shape {xv.shape}")
     L = xv.shape[0]
@@ -415,3 +409,27 @@ def frame_signal(x, frame: int, hop: int) -> Tensor:
         return (gx,)
 
     return _make("frame_signal", (x,), out, vjp)
+
+
+_MAG_FLOOR = 1e-30  # keeps the magnitude differentiable at silent bins
+
+
+def rfft_magnitude(x, n: int) -> Tensor:
+    """Magnitude spectrum |rfft(x, n)| of each row of x[F, W], W <= n, with
+    the rows zero-padded to n: [F, n//2 + 1] values sqrt(re^2 + im^2 + 1e-30).
+
+    VJP: n * irfft(g * X / |X| * w) cut to W samples, where w is 1 at the DC
+    and Nyquist bins and 1/2 at the interior bins, which irfft counts twice.
+    """
+    xv = value(x)
+    if xv.ndim != 2 or xv.shape[1] > n:
+        raise ValueError(f"rfft_magnitude: expected [frames, width <= {n}] input, got shape {xv.shape}")
+    spec = np.fft.rfft(xv, n=n, axis=1)
+    out = np.sqrt(spec.real * spec.real + spec.imag * spec.imag + _MAG_FLOOR)
+
+    def vjp(g):
+        y = (g / out) * spec
+        y[:, 1 : (n + 1) // 2] *= 0.5
+        return (n * np.fft.irfft(y, n=n, axis=1)[:, : xv.shape[1]],)
+
+    return _make("rfft_magnitude", (x,), out, vjp)

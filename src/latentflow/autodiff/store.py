@@ -59,10 +59,6 @@ class ParamStore:
                 raise ValueError(f"parameter {name!r}: shape {arr.shape} != expected {t.data.shape}")
             t.data[...] = arr
 
-    def zero_all(self) -> None:
-        for t in self._params.values():
-            t.data[...] = 0.0
-
 
 def backward(loss: Tensor, store: ParamStore, tape: Tape) -> dict[str, np.ndarray]:
     """Gradient map name -> array for every trainable parameter.

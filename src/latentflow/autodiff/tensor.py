@@ -24,23 +24,14 @@ def set_debug_checks(enabled: bool) -> None:
     _DEBUG_CHECKS = bool(enabled)
 
 
-def debug_checks_enabled() -> bool:
-    return _DEBUG_CHECKS
-
-
 class Tensor:
-    """A shaped float64 array participating in differentiation.
+    """A shaped float64 array participating in differentiation."""
 
-    ``node_id`` is the index of the node that produced this tensor in the
-    active record, or None for leaves and tensors created outside a tape.
-    """
-
-    __slots__ = ("data", "node_id")
+    __slots__ = ("data",)
 
     def __init__(self, data, copy: bool = False):
         arr = np.array(data, dtype=np.float64, copy=True) if copy else np.asarray(data, dtype=np.float64)
         self.data = arr
-        self.node_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -58,7 +49,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, node_id={self.node_id})"
+        return f"Tensor(shape={self.shape})"
 
     # Operator sugar; the heavy lifting lives in ops.py.
     def __add__(self, other):
@@ -118,7 +109,6 @@ class Tape:
         assert popped is self, "tape stack corrupted"
 
     def record(self, op: str, parents: tuple, out: Tensor, vjp: Callable) -> None:
-        out.node_id = len(self.nodes)
         self.nodes.append(Node(op, parents, out, vjp))
 
     def __len__(self) -> int:
@@ -138,6 +128,29 @@ class no_grad:
 
     def __exit__(self, *exc):
         _TAPES.pop()
+
+
+def value(x) -> np.ndarray:
+    """The float64 array behind a Tensor, ndarray or scalar."""
+    if isinstance(x, Tensor):
+        return x.data
+    return np.asarray(x, dtype=np.float64)
+
+
+def evaluate(body: Callable[[], Tensor], *inputs):
+    """Run ``body()``, a computation on ad ops over ``inputs``.
+
+    When any input is a Tensor the body runs as usual and its Tensor is
+    returned. Otherwise every input is a constant: the body runs under
+    ``no_grad``, so it records nothing even inside an active Tape, and the
+    result is unwrapped once, to a float when it is 0-d and to an ndarray
+    otherwise.
+    """
+    if any(isinstance(x, Tensor) for x in inputs):
+        return body()
+    with no_grad():
+        out = value(body())
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_finite(op: str, arr: np.ndarray) -> None:

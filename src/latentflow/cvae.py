@@ -62,8 +62,7 @@ class DiagonalGaussianSeq:
     plain arrays or Tensors participating in a recording."""
 
     def __init__(self, mean, log_var):
-        m = mean.data if isinstance(mean, ad.Tensor) else np.asarray(mean)
-        v = log_var.data if isinstance(log_var, ad.Tensor) else np.asarray(log_var)
+        m, v = ad.value(mean), ad.value(log_var)
         if m.shape != v.shape:
             raise ValidationError(f"gaussian seq: mean {m.shape} and log-variance {v.shape} differ")
         self.mean = mean
@@ -71,13 +70,10 @@ class DiagonalGaussianSeq:
 
     @property
     def shape(self):
-        m = self.mean.data if isinstance(self.mean, ad.Tensor) else self.mean
-        return m.shape
+        return ad.value(self.mean).shape
 
     def detached(self) -> "DiagonalGaussianSeq":
-        m = self.mean.data if isinstance(self.mean, ad.Tensor) else self.mean
-        v = self.log_var.data if isinstance(self.log_var, ad.Tensor) else self.log_var
-        return DiagonalGaussianSeq(np.array(m), np.array(v))
+        return DiagonalGaussianSeq(np.array(ad.value(self.mean)), np.array(ad.value(self.log_var)))
 
 
 def sample_reparam(g: DiagonalGaussianSeq, rng: np.random.Generator, temperature: float = 1.0):
@@ -88,10 +84,12 @@ def sample_reparam(g: DiagonalGaussianSeq, rng: np.random.Generator, temperature
     if temperature < 0:
         raise ValidationError(f"sample_reparam: temperature must be >= 0, got {temperature}")
     eps = rng.standard_normal(g.shape)
-    if isinstance(g.mean, ad.Tensor) or isinstance(g.log_var, ad.Tensor):
+
+    def body():
         sigma = ad.exp(ad.mul(g.log_var, 0.5))
         return ad.add(g.mean, ad.mul(sigma, temperature * eps))
-    return g.mean + temperature * np.exp(0.5 * g.log_var) * eps
+
+    return ad.evaluate(body, g.mean, g.log_var)
 
 
 def kl_divergence(q: DiagonalGaussianSeq, p: DiagonalGaussianSeq):
@@ -102,16 +100,15 @@ def kl_divergence(q: DiagonalGaussianSeq, p: DiagonalGaussianSeq):
     if q.shape != p.shape:
         raise ValidationError(f"kl_divergence: shapes {q.shape} and {p.shape} differ")
     frames = q.shape[-1] if len(q.shape) > 1 else 1
-    tensor_mode = any(isinstance(x, ad.Tensor) for x in (q.mean, q.log_var, p.mean, p.log_var))
-    if tensor_mode:
+
+    def body():
         diff = ad.sub(q.mean, p.mean)
         inv_p = ad.exp(ad.mul(p.log_var, -1.0))
         quad = ad.mul(ad.mul(ad.add(ad.exp(q.log_var), ad.square(diff)), inv_p), 0.5)
         per_coord = ad.add(ad.add(ad.mul(ad.sub(p.log_var, q.log_var), 0.5), quad), -0.5)
         return ad.mul(ad.total(per_coord), 1.0 / frames)
-    diff = q.mean - p.mean
-    per_coord = 0.5 * (p.log_var - q.log_var) + 0.5 * (np.exp(q.log_var) + diff**2) * np.exp(-p.log_var) - 0.5
-    return float(per_coord.sum() / frames)
+
+    return ad.evaluate(body, q.mean, q.log_var, p.mean, p.log_var)
 
 
 @dataclass
@@ -178,13 +175,12 @@ class PosteriorEncoder:
         self.head_b = store.create(prefix + "head.b", np.zeros(2 * cfg.channels))
 
     def __call__(self, mel) -> DiagonalGaussianSeq:
-        mv = mel.data if isinstance(mel, ad.Tensor) else np.asarray(mel, dtype=np.float64)
+        mv = ad.value(mel)
         if mv.ndim != 2 or mv.shape[0] != self.cfg.mel_bands:
             raise ValidationError(f"posterior encoder: expected [{self.cfg.mel_bands}, T] mel, got {mv.shape}")
         if mv.shape[1] == 0:
             raise ValidationError("posterior encoder: zero-length input")
-        x = mel if isinstance(mel, ad.Tensor) else ad.Tensor(mv)
-        x = ad.reshape(x, (1,) + mv.shape)
+        x = ad.reshape(mel, (1,) + mv.shape)
         h = ad.conv1d(x, self.pre_w, self.pre_b)
         h = self.stack(h)
         out = ad.conv1d(h, self.head_w, self.head_b)
@@ -205,10 +201,28 @@ class PriorEncoderOutput:
         self.pred_mel = pred_mel  # [M, T]
 
 
+# About 40 s at the desk preset's 250 frames/s: far above any sung note,
+# low enough that expanding a diverged duration head cannot exhaust memory.
+MAX_FRAMES_PER_TOKEN = 10_000
+
+
 def decode_durations(log_durations) -> np.ndarray:
-    """Decoded duration = max(1, round(exp(log d))) per token."""
-    v = log_durations.data if isinstance(log_durations, ad.Tensor) else np.asarray(log_durations)
-    return np.maximum(1, np.round(np.exp(v))).astype(np.int64)
+    """Decoded duration = max(1, round(exp(log d))) per token.
+
+    Raises ValidationError for a non-finite log-duration or one that
+    decodes above MAX_FRAMES_PER_TOKEN frames.
+    """
+    v = ad.value(log_durations)
+    with np.errstate(over="ignore"):
+        frames = np.round(np.exp(v))
+    bad = np.flatnonzero(~(np.isfinite(v) & (frames <= MAX_FRAMES_PER_TOKEN)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(
+            f"decode_durations: token {i} has log-duration {float(v[i])}, which is non-finite or decodes "
+            f"above {MAX_FRAMES_PER_TOKEN} frames"
+        )
+    return np.maximum(1, frames).astype(np.int64)
 
 
 def expand_to_frames(x, durations: np.ndarray):
@@ -217,9 +231,7 @@ def expand_to_frames(x, durations: np.ndarray):
     if np.any(durations < 1):
         raise ValidationError("expand_to_frames: durations must be >= 1")
     idx = np.repeat(np.arange(len(durations)), durations)
-    if isinstance(x, ad.Tensor):
-        return ad.transpose(ad.take_rows(ad.transpose(x, (1, 0)), idx), (1, 0))
-    return np.asarray(x)[:, idx]
+    return ad.evaluate(lambda: ad.transpose(ad.take_rows(ad.transpose(x, (1, 0)), idx), (1, 0)), x)
 
 
 class PriorEncoder:
@@ -263,7 +275,7 @@ class PriorEncoder:
         emb = ad.transpose(ad.take_rows(self.embed, cond.tokens), (1, 0))  # [E, N]
         pitch = (cond.note_pitch[None, :] - 69.0) / 12.0
         logdur = np.log(cond.note_duration[None, :].astype(np.float64))
-        feats = ad.concat([emb, ad.Tensor(pitch), ad.Tensor(logdur)], axis=0)
+        feats = ad.concat([emb, pitch, logdur], axis=0)
         x = ad.reshape(feats, (1, cfg.embed_dim + 2, n))
         h = ad.conv1d(x, self.pre_w, self.pre_b)
         h = self.token_stack(h)

@@ -9,12 +9,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .exceptions import NumericalError, ValidationError
-from .vectorfield import VectorFieldConfig, VelocityField
+from .vectorfield import VelocityField
 
 
 def _pair_shapes(op: str, a, b) -> None:
-    ash = a.data.shape if isinstance(a, ad.Tensor) else np.shape(a)
-    bsh = b.data.shape if isinstance(b, ad.Tensor) else np.shape(b)
+    ash, bsh = ad.value(a).shape, ad.value(b).shape
     if ash != bsh:
         raise ValidationError(f"{op}: endpoint shapes {ash} and {bsh} differ")
 
@@ -37,19 +36,14 @@ def interpolate(z_p, z_q, t):
     tv = np.asarray(t, dtype=np.float64)
     if tv.min() < 0.0 or tv.max() > 1.0:
         raise ValidationError(f"interpolate: t must lie in [0, 1], got {t}")
-    if isinstance(z_p, ad.Tensor) or isinstance(z_q, ad.Tensor):
-        ts = _tspread(tv, z_p.data if isinstance(z_p, ad.Tensor) else np.asarray(z_p))
-        return ad.add(ad.mul(z_p, 1.0 - ts), ad.mul(z_q, ts))
-    ts = _tspread(tv, np.asarray(z_p))
-    return (1.0 - ts) * np.asarray(z_p, dtype=np.float64) + ts * np.asarray(z_q, dtype=np.float64)
+    ts = _tspread(tv, ad.value(z_p))
+    return ad.evaluate(lambda: ad.add(ad.mul(z_p, 1.0 - ts), ad.mul(z_q, ts)), z_p, z_q)
 
 
 def target_velocity(z_p, z_q):
     """Constant velocity of the straight-line path: z_q - z_p."""
     _pair_shapes("target_velocity", z_p, z_q)
-    if isinstance(z_p, ad.Tensor) or isinstance(z_q, ad.Tensor):
-        return ad.sub(z_q, z_p)
-    return np.asarray(z_q, dtype=np.float64) - np.asarray(z_p, dtype=np.float64)
+    return ad.evaluate(lambda: ad.sub(z_q, z_p), z_p, z_q)
 
 
 def cfm_loss(field: VelocityField, z_p, z_q, t, cond=None, train: bool = True, rng=None) -> ad.Tensor:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .exceptions import ValidationError
-from .signals import MelConfig, mel_transform, mel_transform_t
+from .signals import MelConfig, mel_transform_t
 
 
 @dataclass
@@ -41,10 +41,6 @@ class LossReport:
         yield (step, "total", self.total)
 
 
-def _as_tensor(x) -> ad.Tensor:
-    return x if isinstance(x, ad.Tensor) else ad.Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _mean_sq(x) -> ad.Tensor:
     return ad.mean(ad.square(x))
 
@@ -55,7 +51,7 @@ def adv_generator(fake_scores: list) -> ad.Tensor:
         raise ValidationError("adv_generator: empty discriminator suite")
     loss = None
     for s in fake_scores:
-        term = _mean_sq(ad.sub(_as_tensor(s), 1.0))
+        term = _mean_sq(ad.sub(s, 1.0))
         loss = term if loss is None else ad.add(loss, term)
     return loss
 
@@ -71,7 +67,7 @@ def adv_discriminator(real_scores: list, fake_scores: list) -> ad.Tensor:
         raise ValidationError("adv_discriminator: empty discriminator suite")
     loss = None
     for r, f in zip(real_scores, fake_scores):
-        term = ad.add(_mean_sq(ad.sub(_as_tensor(r), 1.0)), _mean_sq(_as_tensor(f)))
+        term = ad.add(_mean_sq(ad.sub(r, 1.0)), _mean_sq(f))
         loss = term if loss is None else ad.add(loss, term)
     return loss
 
@@ -91,31 +87,23 @@ def feature_matching(real_features: list, fake_features: list) -> ad.Tensor:
                 f"feature_matching: layer count mismatch ({len(reals)} vs {len(fakes)})"
             )
         for r, f in zip(reals, fakes):
-            rv = r.data if isinstance(r, ad.Tensor) else np.asarray(r)
-            fv = f.data if isinstance(f, ad.Tensor) else np.asarray(f)
+            rv, fv = ad.value(r), ad.value(f)
             if rv.shape != fv.shape:
                 raise ValidationError(f"feature_matching: feature shapes {rv.shape} vs {fv.shape}")
-            term = ad.mean(ad.absolute(ad.sub(_as_tensor(f), rv)))
+            term = ad.mean(ad.absolute(ad.sub(f, rv)))
             loss = term if loss is None else ad.add(loss, term)
     if loss is None:
         raise ValidationError("feature_matching: no feature maps")
     return loss
 
 
-def _mel_of(y, cfg: MelConfig):
-    if isinstance(y, ad.Tensor):
-        return mel_transform_t(y, cfg)
-    return ad.Tensor(mel_transform(np.asarray(y, dtype=np.float64), cfg).values)
-
-
 def mel_reconstruction(y_ref, y_gen, cfg: MelConfig) -> ad.Tensor:
     """Mean L1 between the log-mel transforms of two equal-length
-    waveforms."""
-    ref_len = (y_ref.data if isinstance(y_ref, ad.Tensor) else np.asarray(y_ref)).shape[-1]
-    gen_len = (y_gen.data if isinstance(y_gen, ad.Tensor) else np.asarray(y_gen)).shape[-1]
-    if ref_len != gen_len:
-        raise ValidationError(f"mel_reconstruction: lengths {ref_len} and {gen_len} differ")
-    return ad.mean(ad.absolute(ad.sub(_mel_of(y_gen, cfg), _mel_of(y_ref, cfg).data)))
+    waveforms; the reference is a constant."""
+    ref, gen_len = ad.value(y_ref), ad.value(y_gen).shape[-1]
+    if ref.shape[-1] != gen_len:
+        raise ValidationError(f"mel_reconstruction: lengths {ref.shape[-1]} and {gen_len} differ")
+    return ad.mean(ad.absolute(ad.sub(mel_transform_t(y_gen, cfg), mel_transform_t(ref, cfg))))
 
 
 def dsp_consistency(y_dsp, y_ref, cfg: MelConfig, lambda_dsp: float = 45.0) -> ad.Tensor:
@@ -129,25 +117,24 @@ def aux_prediction(true_log_f0, true_mel, pred_log_f0, pred_mel) -> ad.Tensor:
     """MSE on log-f0 plus mean L1 on the mel prediction."""
     tf0 = np.asarray(true_log_f0, dtype=np.float64)
     tmel = np.asarray(true_mel, dtype=np.float64)
-    pf0 = _as_tensor(pred_log_f0)
-    pmel = _as_tensor(pred_mel)
-    if pf0.shape != tf0.shape:
-        raise ValidationError(f"aux_prediction: f0 shapes {pf0.shape} and {tf0.shape} differ")
-    if pmel.shape != tmel.shape:
-        raise ValidationError(f"aux_prediction: mel shapes {pmel.shape} and {tmel.shape} differ")
-    return ad.add(_mean_sq(ad.sub(pf0, tf0)), ad.mean(ad.absolute(ad.sub(pmel, tmel))))
+    pf0_shape, pmel_shape = ad.value(pred_log_f0).shape, ad.value(pred_mel).shape
+    if pf0_shape != tf0.shape:
+        raise ValidationError(f"aux_prediction: f0 shapes {pf0_shape} and {tf0.shape} differ")
+    if pmel_shape != tmel.shape:
+        raise ValidationError(f"aux_prediction: mel shapes {pmel_shape} and {tmel.shape} differ")
+    return ad.add(_mean_sq(ad.sub(pred_log_f0, tf0)), ad.mean(ad.absolute(ad.sub(pred_mel, tmel))))
 
 
 _COMPOSITE_PARTS = ("adv", "fm", "mel", "kl", "dsp", "dur", "aux", "cfm")
 
 
-def generator_composite(parts: dict, weights: LossWeights | None = None):
+def generator_composite(parts: dict, weights: LossWeights | None = None) -> tuple[ad.Tensor, LossReport]:
     """Weighted sum of all generator terms.
 
     total = adv + lambda_fm * fm + lambda_mel * mel + kl + dsp + dur + aux
             + lambda_cfm * cfm
     where the dsp part already carries its own weight. Returns the total
-    (Tensor if any part is) and an itemized LossReport.
+    Tensor and an itemized LossReport whose total is the Tensor's value.
     """
     weights = (weights or LossWeights()).validate()
     missing = [name for name in _COMPOSITE_PARTS if name not in parts]
@@ -163,17 +150,11 @@ def generator_composite(parts: dict, weights: LossWeights | None = None):
         "aux": 1.0,
         "cfm": weights.lambda_cfm,
     }
-    tensor_mode = any(isinstance(parts[n], ad.Tensor) for n in _COMPOSITE_PARTS)
     report = LossReport()
-    total_value = 0.0
-    total_tensor = None
+    total = None
     for name in _COMPOSITE_PARTS:
-        part = parts[name]
-        value = float(part.data) if isinstance(part, ad.Tensor) else float(part)
-        report.terms[name] = value
-        total_value += lam[name] * value
-        if tensor_mode:
-            scaled = ad.mul(part if isinstance(part, ad.Tensor) else ad.Tensor(np.asarray(value)), lam[name])
-            total_tensor = scaled if total_tensor is None else ad.add(total_tensor, scaled)
-    report.total = total_value
-    return (total_tensor if tensor_mode else total_value), report
+        report.terms[name] = float(ad.value(parts[name]))
+        scaled = ad.mul(parts[name], lam[name])
+        total = scaled if total is None else ad.add(total, scaled)
+    report.total = total.item()
+    return total, report

@@ -3,7 +3,7 @@ data with controlled vibrato, autocorrelation f0 extraction, and the
 MCD / F0-RMSE evaluation metrics."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct
@@ -92,11 +92,6 @@ def _mel_to_hz(m):
     return np.where(log_region, 1000.0 * np.exp((np.log(6.4) / 27.0) * (m - 15.0)), f)
 
 
-def mel_band_centers(cfg: MelConfig) -> np.ndarray:
-    edges = _mel_to_hz(np.linspace(_hz_to_mel(cfg.fmin), _hz_to_mel(cfg.fmax), cfg.mel_bands + 2))
-    return edges[1:-1]
-
-
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     """Triangular area-normalized (Slaney-style) filterbank
     [mel_bands, fft_size//2 + 1]."""
@@ -117,59 +112,43 @@ def periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def dft_matrices(cfg: MelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Real/imag DFT bases mapping a zero-padded frame [fft_size] to
-    one-sided bins."""
-    n_bins = cfg.fft_size // 2 + 1
-    n = np.arange(cfg.fft_size)[:, None]
-    k = np.arange(n_bins)[None, :]
-    ang = 2.0 * np.pi * n * k / cfg.fft_size
-    return np.cos(ang), -np.sin(ang)
+def stft_magnitude(y, cfg: MelConfig):
+    """[bins, frames] Hann-window STFT magnitudes of a 1-D waveform; the
+    frame count follows 1 + (len - window)//hop with no centering.
 
-
-def stft_magnitude(y: np.ndarray, cfg: MelConfig) -> np.ndarray:
-    """[bins, frames] magnitudes; frame count follows
-    1 + (len - window)//hop with no centering."""
+    A Tensor waveform gives a Tensor; a plain one gives an ndarray.
+    """
     cfg.validate()
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValidationError(f"stft: expected 1-D signal, got shape {y.shape}")
-    n_frames = cfg.frame_count(len(y))
-    idx = np.arange(cfg.window_size)[None, :] + cfg.hop_size * np.arange(n_frames)[:, None]
-    frames = y[idx] * periodic_hann(cfg.window_size)[None, :]
-    spec = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
-    return np.abs(spec).T
+    yv = ad.value(y)
+    if yv.ndim != 1:
+        raise ValidationError(f"stft: expected 1-D signal, got shape {yv.shape}")
+    cfg.frame_count(len(yv))  # raises for a signal shorter than the window
+
+    def body():
+        frames = ad.frame_signal(y, cfg.window_size, cfg.hop_size)
+        windowed = ad.mul(frames, periodic_hann(cfg.window_size)[None, :])
+        return ad.transpose(ad.rfft_magnitude(windowed, cfg.fft_size), (1, 0))
+
+    return ad.evaluate(body, y)
 
 
-def mel_transform(y: np.ndarray, cfg: MelConfig) -> MelSpectrogram:
+def mel_transform_t(y, cfg: MelConfig):
     """Hann STFT magnitude -> area-normalized mel filterbank -> natural log
-    with floor."""
-    mag = stft_magnitude(y, cfg)
-    mel = mel_filterbank(cfg) @ mag
-    return MelSpectrogram(np.log(np.maximum(mel, cfg.log_floor)))
+    with floor: log-mel values [bands, frames].
+
+    A Tensor waveform gives a Tensor; a plain one gives an ndarray.
+    """
+
+    def body():
+        mel = ad.matmul(mel_filterbank(cfg), stft_magnitude(y, cfg))
+        return ad.log(ad.clamp(mel, lo=cfg.log_floor))
+
+    return ad.evaluate(body, y)
 
 
-_MAG_EPS = 1e-30  # keeps sqrt differentiable at silent bins
-
-
-def stft_magnitude_t(y: ad.Tensor, cfg: MelConfig) -> ad.Tensor:
-    """Differentiable twin of stft_magnitude, [bins, frames]."""
-    cfg.validate()
-    frames = ad.frame_signal(y, cfg.window_size, cfg.hop_size)
-    windowed = ad.mul(frames, periodic_hann(cfg.window_size)[None, :])
-    cos_m, sin_m = dft_matrices(cfg)
-    re = ad.matmul(windowed, cos_m[: cfg.window_size])
-    im = ad.matmul(windowed, sin_m[: cfg.window_size])
-    mag = ad.sqrt(ad.add(ad.add(ad.square(re), ad.square(im)), _MAG_EPS))
-    return ad.transpose(mag, (1, 0))
-
-
-def mel_transform_t(y: ad.Tensor, cfg: MelConfig) -> ad.Tensor:
-    """Differentiable twin of mel_transform; log-mel values [bands, frames]."""
-    mag = stft_magnitude_t(y, cfg)
-    fbt = mel_filterbank(cfg).T
-    mel = ad.transpose(ad.matmul(ad.transpose(mag, (1, 0)), fbt), (1, 0))
-    return ad.log(ad.clamp(mel, lo=cfg.log_floor))
+def mel_transform(y, cfg: MelConfig) -> MelSpectrogram:
+    """Log-mel spectrogram of a waveform, taken as a constant."""
+    return MelSpectrogram(mel_transform_t(ad.value(y), cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 convolution blocks with a sinusoidal time embedding injected per block."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,7 @@ def time_frequencies(dim: int) -> np.ndarray:
 
 def time_embedding(t: float, dim: int) -> np.ndarray:
     """[sin(t*w_k), cos(t*w_k)] for geometrically spaced w_k; t in [0, 1]."""
-    if not 0.0 <= float(t) <= 1.0:
-        raise ValidationError(f"time embedding: t must lie in [0, 1], got {t}")
-    w = time_frequencies(dim)
-    return np.concatenate([np.sin(t * w), np.cos(t * w)])
+    return time_embedding_batch(t, dim)[0]
 
 
 def time_embedding_batch(ts: np.ndarray, dim: int) -> np.ndarray:
@@ -107,14 +104,13 @@ class VelocityField:
         [0, 1]; ``cond`` optional [cond_channels, T] / [B, cond_channels, T].
         """
         cfg = self.cfg
-        zv = z.data if isinstance(z, ad.Tensor) else np.asarray(z, dtype=np.float64)
+        zv = ad.value(z)
         squeeze = zv.ndim == 2
         if squeeze:
-            z = ad.reshape(z, (1,) + zv.shape) if isinstance(z, ad.Tensor) else zv[None]
+            z = ad.reshape(z, (1,) + zv.shape)
             if cond is not None:
                 cond = np.asarray(cond, dtype=np.float64)[None]
-        zv3 = z.data if isinstance(z, ad.Tensor) else z
-        B, C, T = zv3.shape
+        B, C, T = ad.value(z).shape
         if C != cfg.latent_channels:
             raise ValidationError(f"vector field: expected {cfg.latent_channels} channels, got {C}")
         if cfg.cond_channels > 0:
@@ -125,7 +121,7 @@ class VelocityField:
                 raise ValidationError(
                     f"vector field: conditioning shape {cond.shape} != {(B, cfg.cond_channels, T)}"
                 )
-            x = ad.concat([z, ad.Tensor(cond)], axis=1) if isinstance(z, ad.Tensor) else np.concatenate([zv3, cond], axis=1)
+            x = ad.concat([z, cond], axis=1)
         else:
             x = z
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .exceptions import ValidationError
-from .signals import MelConfig, stft_magnitude_t
+from .signals import MelConfig, stft_magnitude
 
 
 @dataclass
@@ -107,7 +107,7 @@ class WaveDecoder:
         self.post_b = store.create(prefix + "post.b", np.zeros(1))
 
     def __call__(self, z, f0_hz: np.ndarray):
-        zv = z.data if isinstance(z, ad.Tensor) else np.asarray(z, dtype=np.float64)
+        zv = ad.value(z)
         if zv.ndim != 2 or zv.shape[0] != self.cfg.latent_channels:
             raise ValidationError(f"decoder: expected [{self.cfg.latent_channels}, T] latent, got {zv.shape}")
         t_frames = zv.shape[1]
@@ -115,8 +115,7 @@ class WaveDecoder:
         if f0_hz.shape != (t_frames,):
             raise ValidationError(f"decoder: pitch contour shape {f0_hz.shape} != ({t_frames},)")
         pitch = normalized_log_f0(f0_hz)[None, :]
-        zt = z if isinstance(z, ad.Tensor) else ad.Tensor(zv)
-        x = ad.concat([zt, ad.Tensor(pitch)], axis=0)
+        x = ad.concat([z, pitch], axis=0)
         x = ad.reshape(x, (1, self.cfg.latent_channels + 1, t_frames))
         x = ad.conv1d(x, self.pre_w, self.pre_b)
         for up_w, up_b, rate, res in self.stages:
@@ -204,7 +203,7 @@ class DiscriminatorSuite:
     def discriminate(self, y):
         """y: waveform Tensor or ndarray [L] -> list of (name, score,
         features) across all sub-discriminators."""
-        yv = y.data if isinstance(y, ad.Tensor) else np.asarray(y, dtype=np.float64)
+        yv = ad.value(y)
         if yv.ndim != 1:
             raise ValidationError(f"discriminate: expected 1-D waveform, got shape {yv.shape}")
         L = yv.shape[0]
@@ -212,11 +211,10 @@ class DiscriminatorSuite:
             raise ValidationError(
                 f"discriminate: waveform of {L} samples shorter than analysis window {self.cfg.min_length}"
             )
-        yt = y if isinstance(y, ad.Tensor) else ad.Tensor(yv)
         out = []
         for p, stack in zip(self.cfg.periods, self.period_stacks):
             rem = (-L) % p
-            xp = ad.pad_last(yt, 0, rem) if rem else yt
+            xp = ad.pad_last(y, 0, rem) if rem else y
             blocks = (L + rem) // p
             x = ad.reshape(xp, (blocks, p))
             x = ad.transpose(x, (1, 0))
@@ -224,7 +222,7 @@ class DiscriminatorSuite:
             score, feats = stack(x)
             out.append((f"period{p}", score, feats))
         for s, stack in zip(self.cfg.scales, self.scale_stacks):
-            x = ad.reshape(yt, (1, 1, L))
+            x = ad.reshape(y, (1, 1, L))
             if s > 1:
                 pool_w = np.full((1, 1, s), 1.0 / s)
                 x = ad.conv1d(x, pool_w, stride=s, padding=0)
@@ -235,7 +233,7 @@ class DiscriminatorSuite:
                 sample_rate=self.mel_cfg.sample_rate, fft_size=n, window_size=n, hop_size=hop,
                 mel_bands=1, fmin=0.0, fmax=self.mel_cfg.sample_rate / 2,
             )
-            mag = stft_magnitude_t(yt, scfg)
+            mag = stft_magnitude(y, scfg)
             x = ad.reshape(mag, (1,) + mag.shape)
             score, feats = stack(x)
             out.append((f"spec{n}", score, feats))

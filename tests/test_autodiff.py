@@ -101,6 +101,10 @@ def test_two_layer_net_37_params_matches_finite_differences():
         ("pad_last", lambda x, y: ad.pad_last(ad.mul(x, y), 2, 1)),
         ("reshape", lambda x, y: ad.reshape(ad.mul(x, y), (4, 3))),
         ("transpose", lambda x, y: ad.transpose(ad.mul(x, y), (1, 0))),
+        ("frame_signal", lambda x, y: ad.frame_signal(ad.reshape(ad.mul(x, y), (12,)), 5, 2)),
+        ("conv_transpose1d", lambda x, y: ad.conv_transpose1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (3, 1, 4)), stride=2)),
+        ("rfft_magnitude", lambda x, y: ad.rfft_magnitude(ad.mul(x, y), 8)),
+        ("rfft_magnitude_odd_n", lambda x, y: ad.rfft_magnitude(ad.mul(x, y), 7)),
     ],
 )
 def test_op_gradients_match_finite_differences(name, builder):

@@ -3,6 +3,7 @@ import pytest
 
 from latentflow import autodiff as ad
 from latentflow.cvae import (
+    MAX_FRAMES_PER_TOKEN,
     DiagonalGaussianSeq,
     LatentConfig,
     PosteriorEncoder,
@@ -97,6 +98,18 @@ def test_prior_zero_init_duration_head_decodes_to_one():
     np.testing.assert_array_equal(out.log_durations.data, 0.0)
     np.testing.assert_array_equal(decode_durations(out.log_durations), [1, 1, 1])
     assert out.frame_gaussian.shape == (4, 3)
+
+
+def test_decode_durations_caps_frames_per_token():
+    np.testing.assert_array_equal(decode_durations(np.log([0.2, 2.0, MAX_FRAMES_PER_TOKEN])), [1, 2, MAX_FRAMES_PER_TOKEN])
+    with pytest.raises(ValidationError, match="token 2"):
+        decode_durations(np.array([0.0, 0.0, np.log(MAX_FRAMES_PER_TOKEN + 1.0)]))
+
+
+@pytest.mark.parametrize("bad", [60.0, 800.0, np.inf, -np.inf, np.nan])
+def test_decode_durations_rejects_overflowing_and_non_finite(bad):
+    with pytest.raises(ValidationError, match="token 1"):
+        decode_durations(np.array([0.0, bad, 0.0]))
 
 
 def test_prior_rejects_unknown_token():

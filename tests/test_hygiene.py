@@ -1,0 +1,49 @@
+"""Repository hygiene, checked with the standard library only: every
+module-level import in the package is used, and every console script
+declared in pyproject.toml resolves to a callable."""
+import ast
+import importlib
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "latentflow"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:  # names re-exported through __all__ count as used
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_package_has_no_unused_module_level_imports():
+    unused = [entry for path in sorted(PACKAGE.rglob("*.py")) for entry in _unused_imports(path)]
+    assert unused == []
+
+
+def test_console_scripts_resolve_to_callables():
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"].get("scripts", {})
+    broken = []
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        try:
+            obj = importlib.import_module(module)
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError) as exc:
+            broken.append(f"{name} = {target}: {exc}")
+            continue
+        if not callable(obj):
+            broken.append(f"{name} = {target}: not callable")
+    assert broken == []
