@@ -42,7 +42,7 @@ def finite_diff_check(
     grads = backward(loss, store, tape)
 
     if names is None:
-        names = store.trainable_names()
+        names = store.names()
     worst = 0.0
     for name in names:
         flat = store[name].data.ravel()

@@ -270,20 +270,56 @@ def _same_pad(kernel: int, dilation: int) -> int:
 
 
 def _im2col(xp: np.ndarray, kernel: int, dilation: int, stride: int, t_out: int) -> np.ndarray:
-    """Strided view [B, C, kernel, t_out] of the padded signal."""
-    b, c, _ = xp.shape
-    sb, sc, st = xp.strides
+    """Strided read-only view [..., kernel, t_out] of the windows of xp[..., T]:
+    window t, tap j reads xp[..., t*stride + j*dilation]."""
+    *lead, st = xp.strides
     return np.lib.stride_tricks.as_strided(
         xp,
-        shape=(b, c, kernel, t_out),
-        strides=(sb, sc, st * dilation, st * stride),
+        shape=xp.shape[:-1] + (kernel, t_out),
+        strides=(*lead, st * dilation, st * stride),
         writeable=False,
     )
 
 
-def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1, padding=None) -> Tensor:
-    """Grouped dilated 1-D convolution of x[B, Cin, T] with w[Cout, Cin/groups, K].
+def _col2im(cols: np.ndarray, length: int, dilation: int, stride: int) -> np.ndarray:
+    """Adjoint of _im2col: overlap-add windows cols[..., kernel, t_out] into
+    a zero signal [..., length]."""
+    kernel, t_out = cols.shape[-2:]
+    out = np.zeros(cols.shape[:-2] + (length,))
+    for j in range(kernel):
+        out[..., j * dilation : j * dilation + stride * t_out : stride] += cols[..., j, :]
+    return out
 
+
+def _dense(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Windows [B, Cin, K, T] times weight [Cout, Cin, K] -> [B, Cout, T]."""
+    return np.ascontiguousarray(np.tensordot(cols, w, axes=([1, 2], [1, 2])).transpose(0, 2, 1))
+
+
+def _dense_t(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Adjoint of _dense in the windows: g[B, Cout, T] -> [B, Cin, K, T]."""
+    return np.tensordot(g, w, axes=([1], [0])).transpose(0, 2, 3, 1)
+
+
+def _dense_w(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Adjoint of _dense in the weight: g[B, Cout, T] -> [Cout, Cin, K]."""
+    return np.tensordot(g, cols, axes=([0, 2], [0, 3]))
+
+
+def _add_bias(op: str, out: np.ndarray, bias) -> np.ndarray:
+    """out[B, C, T] plus a per-channel bias[C], if one is given."""
+    if bias is None:
+        return out
+    bv = value(bias)
+    if bv.shape != (out.shape[1],):
+        raise ValueError(f"{op}: bias shape {bv.shape} != ({out.shape[1]},)")
+    return out + bv[:, None]
+
+
+def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1, padding=None) -> Tensor:
+    """Dilated 1-D convolution of x[B, Cin, T] with w[Cout, Cin/groups, K].
+
+    groups is 1 (dense) or Cin == Cout (depthwise, w[C, 1, K]).
     padding=None selects same-length symmetric zero padding; an int pads
     both sides explicitly.
     """
@@ -296,6 +332,9 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
         raise ValueError(
             f"conv1d: weight {wv.shape} incompatible with input {xv.shape} under groups={groups}"
         )
+    depthwise = groups != 1
+    if depthwise and not groups == Ci == Co:
+        raise ValueError(f"conv1d: groups={groups} must be 1 or equal the {Ci} input and {Co} output channels")
     pad = _same_pad(K, dilation) if padding is None else int(padding)
     span = (K - 1) * dilation
     t_out = (T + 2 * pad - span - 1) // stride + 1
@@ -308,40 +347,20 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
     else:
         xp = xv
     cols = _im2col(xp, K, dilation, stride, t_out)
-    depthwise = groups == Ci and Cig == 1
-    if groups == 1:
-        out = np.ascontiguousarray(np.tensordot(cols, wv, axes=([1, 2], [1, 2])).transpose(0, 2, 1))
-    elif depthwise:
+    if depthwise:
         out = np.einsum("bcjt,cj->bct", cols, wv[:, 0, :])
     else:
-        out = np.einsum(
-            "bgikt,goik->bgot",
-            cols.reshape(B, groups, Cig, K, t_out),
-            wv.reshape(groups, Co // groups, Cig, K),
-        ).reshape(B, Co, t_out)
-    bv = None
-    if bias is not None:
-        bv = value(bias)
-        if bv.shape != (Co,):
-            raise ValueError(f"conv1d: bias shape {bv.shape} != ({Co},)")
-        out = out + bv[:, None]
+        out = _dense(cols, wv)
+    out = _add_bias("conv1d", out, bias)
 
     def vjp(g):
-        if groups == 1:
-            gw = np.tensordot(g, cols, axes=([0, 2], [0, 3]))
-            gcols = np.tensordot(g, wv, axes=([1], [0])).transpose(0, 2, 3, 1)
-        elif depthwise:
+        if depthwise:
             gw = np.einsum("bcjt,bct->cj", cols, g)[:, None, :]
             gcols = wv[None, :, 0, :, None] * g[:, :, None, :]
         else:
-            gg = g.reshape(B, groups, Co // groups, t_out)
-            colsg = cols.reshape(B, groups, Cig, K, t_out)
-            wg = wv.reshape(groups, Co // groups, Cig, K)
-            gw = np.einsum("bgikt,bgot->goik", colsg, gg).reshape(Co, Cig, K)
-            gcols = np.einsum("goik,bgot->bgikt", wg, gg).reshape(B, Ci, K, t_out)
-        gxp = np.zeros((B, Ci, T + 2 * pad))
-        for j in range(K):
-            gxp[:, :, j * dilation : j * dilation + stride * t_out : stride] += gcols[:, :, j, :]
+            gw = _dense_w(g, cols)
+            gcols = _dense_t(g, wv)
+        gxp = _col2im(gcols, T + 2 * pad, dilation, stride)
         gx = gxp[:, :, pad : pad + T] if pad else gxp
         gb = g.sum(axis=(0, 2)) if bias is not None else None
         return (gx, gw, gb)
@@ -350,10 +369,11 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
 
 
 def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor:
-    """Transposed 1-D convolution of x[B, Cin, T] with w[Cin, Cout, K].
+    """Transposed 1-D convolution of x[B, Cin, T] with w[Cin, Cout, K]: the
+    input gradient of conv1d(., w, stride=stride, padding=(K - stride)/2).
 
-    Padding is fixed to (K - stride)/2 so the output has exactly T*stride
-    frames; requires K >= stride and K - stride even.
+    The output has exactly T*stride frames; requires K >= stride and
+    K - stride even.
     """
     xv, wv = value(x), value(w)
     if xv.ndim != 3 or wv.ndim != 3:
@@ -366,25 +386,15 @@ def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor:
         raise ValueError(f"conv_transpose1d: need kernel >= stride with even difference, got K={K} stride={stride}")
     pad = (K - stride) // 2
     full = (T - 1) * stride + K
-    out_full = np.zeros((B, Co, full))
-    taps = np.einsum("bct,cok->bokt", xv, wv)
-    for j in range(K):
-        out_full[:, :, j : j + stride * T : stride] += taps[:, :, j, :]
-    out = out_full[:, :, pad : pad + stride * T].copy()
-    if bias is not None:
-        bv = value(bias)
-        if bv.shape != (Co,):
-            raise ValueError(f"conv_transpose1d: bias shape {bv.shape} != ({Co},)")
-        out = out + bv[:, None]
+    out_full = _col2im(_dense_t(xv, wv), full, 1, stride)
+    out = _add_bias("conv_transpose1d", out_full[:, :, pad : pad + stride * T].copy(), bias)
 
     def vjp(g):
         gfull = np.zeros((B, Co, full))
         gfull[:, :, pad : pad + stride * T] = g
-        gcols = _im2col(gfull, K, 1, stride, T)  # [B, Co, K, T]
-        gx = np.einsum("bokt,cok->bct", gcols, wv)
-        gw = np.einsum("bct,bokt->cok", xv, gcols)
+        gcols = _im2col(gfull, K, 1, stride, T)
         gb = g.sum(axis=(0, 2)) if bias is not None else None
-        return (gx, gw, gb)
+        return (_dense(gcols, wv), _dense_w(xv, gcols), gb)
 
     return _make("conv_transpose1d", (x, w, bias), out, vjp)
 
@@ -399,16 +409,8 @@ def frame_signal(x, frame: int, hop: int) -> Tensor:
     if L < frame:
         raise ValueError(f"frame_signal: signal of {L} samples shorter than frame {frame}")
     n = 1 + (L - frame) // hop
-    (st,) = xv.strides
-    out = np.lib.stride_tricks.as_strided(xv, shape=(n, frame), strides=(st * hop, st)).copy()
-
-    def vjp(g):
-        gx = np.zeros_like(xv)
-        for j in range(frame):
-            gx[j : j + hop * n : hop] += g[:, j]
-        return (gx,)
-
-    return _make("frame_signal", (x,), out, vjp)
+    out = _im2col(xv, frame, 1, hop, n).T.copy()
+    return _make("frame_signal", (x,), out, lambda g: (_col2im(g.T, L, 1, hop),))
 
 
 _MAG_FLOOR = 1e-30  # keeps the magnitude differentiable at silent bins

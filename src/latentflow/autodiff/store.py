@@ -15,17 +15,15 @@ class ParamStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self.step_count = 0
 
-    def create(self, name: str, data, trainable: bool = True) -> Tensor:
+    def create(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ValueError(f"parameter {name!r} already exists")
         t = Tensor(np.array(data, dtype=np.float64))
         self._params[name] = t
-        self._trainable[name] = trainable
         return t
 
     def __contains__(self, name: str) -> bool:
@@ -37,23 +35,18 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def trainable_names(self) -> list[str]:
-        return [n for n, tr in self._trainable.items() if tr]
-
     def n_parameters(self) -> int:
         return sum(t.size for t in self._params.values())
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self._params.items()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         missing = set(self._params) - set(state)
         extra = set(state) - set(self._params)
-        if strict and (missing or extra):
+        if missing or extra:
             raise ValueError(f"state dict mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, arr in state.items():
-            if name not in self._params:
-                continue
             t = self._params[name]
             if t.data.shape != arr.shape:
                 raise ValueError(f"parameter {name!r}: shape {arr.shape} != expected {t.data.shape}")
@@ -61,11 +54,11 @@ class ParamStore:
 
 
 def backward(loss: Tensor, store: ParamStore, tape: Tape) -> dict[str, np.ndarray]:
-    """Gradient map name -> array for every trainable parameter.
+    """Gradient map name -> array for every parameter.
 
     Parameters not reachable from the loss get zero gradients.
     """
-    names = store.trainable_names()
+    names = store.names()
     gs = grad(loss, [store[n] for n in names], tape)
     return dict(zip(names, gs))
 
@@ -78,14 +71,14 @@ def adam_step(
     beta2: float = 0.99,
     eps: float = 1e-8,
 ) -> None:
-    """Standard Adam update with bias correction over all trainable params."""
+    """Standard Adam update with bias correction over all params."""
     store.step_count += 1
     t = store.step_count
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    for name in store.trainable_names():
+    for name in store.names():
         if name not in grads:
-            raise ValueError(f"adam_step: missing gradient for trainable parameter {name!r} (detached graph?)")
+            raise ValueError(f"adam_step: missing gradient for parameter {name!r} (detached graph?)")
         g = grads[name]
         p = store[name]
         m = store._m.get(name)

@@ -29,9 +29,8 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, copy: bool = False):
-        arr = np.array(data, dtype=np.float64, copy=True) if copy else np.asarray(data, dtype=np.float64)
-        self.data = arr
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
 
     @property
     def shape(self) -> tuple[int, ...]:

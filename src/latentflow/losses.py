@@ -20,11 +20,10 @@ from .signals import MelConfig, mel_transform_t
 class LossWeights:
     lambda_fm: float = 2.0
     lambda_mel: float = 45.0
-    lambda_dsp: float = 45.0
     lambda_cfm: float = 1.0
 
     def validate(self) -> "LossWeights":
-        if min(self.lambda_fm, self.lambda_mel, self.lambda_dsp, self.lambda_cfm) < 0:
+        if min(self.lambda_fm, self.lambda_mel, self.lambda_cfm) < 0:
             raise ValidationError("loss weights must be >= 0")
         return self
 

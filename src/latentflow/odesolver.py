@@ -56,7 +56,6 @@ class SolveStats:
     accepted: int = 0
     rejected: int = 0
     rhs_evals: int = 0
-    final_error_estimate: float = 0.0
     step_sizes: list = field(default_factory=list)
 
 
@@ -123,7 +122,6 @@ def solve(rhs, z0: np.ndarray, t0: float = 0.0, t1: float = 1.0, cfg: SolverConf
             k1 = ks[6]  # FSAL: last stage is rhs at (t_new, z_new)
             stats.accepted += 1
             stats.step_sizes.append(h)
-            stats.final_error_estimate = err
             rejected_run = 0
         else:
             stats.rejected += 1

@@ -3,6 +3,7 @@ data with controlled vibrato, autocorrelation f0 extraction, and the
 MCD / F0-RMSE evaluation metrics."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +93,10 @@ def _mel_to_hz(m):
     return np.where(log_region, 1000.0 * np.exp((np.log(6.4) / 27.0) * (m - 15.0)), f)
 
 
+@functools.lru_cache
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     """Triangular area-normalized (Slaney-style) filterbank
-    [mel_bands, fft_size//2 + 1]."""
+    [mel_bands, fft_size//2 + 1], built once per config and shared read-only."""
     n_bins = cfg.fft_size // 2 + 1
     fft_freqs = np.arange(n_bins) * cfg.sample_rate / cfg.fft_size
     edges = _mel_to_hz(np.linspace(_hz_to_mel(cfg.fmin), _hz_to_mel(cfg.fmax), cfg.mel_bands + 2))
@@ -105,6 +107,7 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
         down = (hi - fft_freqs) / max(hi - center, 1e-12)
         fb[m] = np.maximum(0.0, np.minimum(up, down))
         fb[m] *= 2.0 / (hi - lo)  # area normalization
+    fb.flags.writeable = False
     return fb
 
 

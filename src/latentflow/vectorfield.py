@@ -41,7 +41,6 @@ def time_embedding_batch(ts: np.ndarray, dim: int) -> np.ndarray:
 class VectorFieldConfig:
     latent_channels: int = 8
     hidden: int = 32
-    num_blocks: int = 4
     kernel_size: int = 3
     dilations: tuple = (3, 5, 7, 9)
     dropout_p: float = 0.1
@@ -49,10 +48,6 @@ class VectorFieldConfig:
     cond_channels: int = 4  # 0 = endpoint-only conditioning
 
     def validate(self) -> "VectorFieldConfig":
-        if len(self.dilations) != self.num_blocks:
-            raise ValidationError(
-                f"vector field: {len(self.dilations)} dilations for {self.num_blocks} blocks"
-            )
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValidationError(f"vector field: dropout must be in [0, 1), got {self.dropout_p}")
         return self

@@ -103,6 +103,9 @@ def test_two_layer_net_37_params_matches_finite_differences():
         ("transpose", lambda x, y: ad.transpose(ad.mul(x, y), (1, 0))),
         ("frame_signal", lambda x, y: ad.frame_signal(ad.reshape(ad.mul(x, y), (12,)), 5, 2)),
         ("conv_transpose1d", lambda x, y: ad.conv_transpose1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (3, 1, 4)), stride=2)),
+        ("conv1d_strided_padded", lambda x, y: ad.conv1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (2, 3, 2)), stride=2, padding=1)),
+        ("conv1d_dilated", lambda x, y: ad.conv1d(ad.reshape(x, (1, 2, 6)), ad.reshape(y, (2, 2, 3)), dilation=2)),
+        ("conv1d_depthwise", lambda x, y: ad.conv1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (3, 1, 4)), dilation=2, groups=3)),
         ("rfft_magnitude", lambda x, y: ad.rfft_magnitude(ad.mul(x, y), 8)),
         ("rfft_magnitude_odd_n", lambda x, y: ad.rfft_magnitude(ad.mul(x, y), 7)),
     ],
@@ -117,6 +120,25 @@ def test_op_gradients_match_finite_differences(name, builder):
         return ad.mean(ad.square(builder(x, y)))
 
     assert ad.finite_diff_check(loss_fn, store, h=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("cin,cout,k,stride", [(3, 2, 4, 2), (16, 8, 8, 4), (2, 5, 3, 1), (1, 1, 5, 3)])
+def test_conv_transpose1d_is_the_adjoint_of_strided_conv1d(cin, cout, k, stride):
+    rng = np.random.default_rng(cin * 100 + k)
+    x = rng.standard_normal((2, cin, 7))
+    w = rng.standard_normal((cin, cout, k))
+    y = rng.standard_normal((2, cout, 7 * stride))
+    lhs = np.vdot(ad.conv_transpose1d(x, w, stride=stride).data, y)
+    rhs = np.vdot(x, ad.conv1d(y, w, stride=stride, padding=(k - stride) // 2).data)
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("cin,cout,groups", [(4, 4, 2), (3, 6, 3)])
+def test_conv1d_rejects_groups_other_than_one_or_depthwise(cin, cout, groups):
+    x = np.zeros((1, cin, 6))
+    w = np.zeros((cout, cin // groups, 3))
+    with pytest.raises(ValueError, match="conv1d"):
+        ad.conv1d(x, w, groups=groups)
 
 
 def test_log_sqrt_gradients():

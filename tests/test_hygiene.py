@@ -1,6 +1,6 @@
 """Repository hygiene, checked with the standard library only: every
-module-level import in the package is used, and every console script
-declared in pyproject.toml resolves to a callable."""
+module-level import in the package is used, every dataclass field is read,
+and every console script declared in pyproject.toml resolves to a callable."""
 import ast
 import importlib
 import tomllib
@@ -30,6 +30,37 @@ def _unused_imports(path: Path) -> list[str]:
 def test_package_has_no_unused_module_level_imports():
     unused = [entry for path in sorted(PACKAGE.rglob("*.py")) for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _dataclass_fields(path: Path) -> list[tuple[str, str]]:
+    fields = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            fields += [(node.name, s.target.id) for s in node.body
+                       if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return fields
+
+
+def _attribute_loads(tree: ast.AST, in_validate: bool = False) -> set[str]:
+    """Attribute names loaded anywhere in ``tree`` outside a ``validate`` method."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)) and tree.name == "validate":
+        in_validate = True
+    loads = set()
+    if not in_validate and isinstance(tree, ast.Attribute) and isinstance(tree.ctx, ast.Load):
+        loads.add(tree.attr)
+    for child in ast.iter_child_nodes(tree):
+        loads |= _attribute_loads(child, in_validate)
+    return loads
+
+
+def test_every_dataclass_field_is_read():
+    sources = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    loads = set().union(*(_attribute_loads(ast.parse(p.read_text(), filename=str(p))) for p in sources))
+    fields = [f for path in sorted(PACKAGE.rglob("*.py")) for f in _dataclass_fields(path)]
+    assert fields
+    assert [f"{cls}.{name}" for cls, name in fields if name not in loads] == []
 
 
 def test_console_scripts_resolve_to_callables():

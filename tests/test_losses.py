@@ -10,7 +10,7 @@ PARTS = {"adv": 0.7, "fm": 1.3, "mel": 0.21, "kl": 2.5, "dsp": 9.0, "dur": 0.04,
 
 @pytest.mark.parametrize("traced", ["adv", "mel", None])
 def test_generator_composite_total_is_the_weighted_sum_of_its_terms(traced):
-    weights = LossWeights(lambda_fm=2.0, lambda_mel=45.0, lambda_dsp=45.0, lambda_cfm=0.5)
+    weights = LossWeights(lambda_fm=2.0, lambda_mel=45.0, lambda_cfm=0.5)
     parts = {k: (ad.Tensor(np.asarray(v)) if k == traced else v) for k, v in PARTS.items()}
     total, report = generator_composite(parts, weights)
     lam = {"fm": 2.0, "mel": 45.0, "cfm": 0.5}

@@ -8,6 +8,7 @@ from latentflow.signals import (
     MelSpectrogram,
     desk_pipeline_mel,
     mcd,
+    mel_filterbank,
     mel_transform,
     mel_transform_t,
     periodic_hann,
@@ -59,6 +60,12 @@ def test_mel_transform_returns_spectrogram_of_mel_transform_t():
     mel = mel_transform(y, SMALL)
     assert isinstance(mel, MelSpectrogram) and (mel.bands, mel.frames) == (4, 24)
     np.testing.assert_array_equal(mel.values, mel_transform_t(ad.Tensor(y), SMALL).data)
+
+
+def test_mel_filterbank_is_cached_read_only_per_config():
+    fb = mel_filterbank(SMALL)
+    assert mel_filterbank(MelConfig(**vars(SMALL))) is fb
+    assert not fb.flags.writeable
 
 
 def test_mcd_is_zero_on_identical_inputs_and_symmetric():

@@ -78,7 +78,7 @@ def test_deterministic_in_inference_mode():
 
 
 def test_receptive_field_bounded_by_dilation_sum():
-    field, store, cfg = make_field(dilations=(3, 5, 7, 9), num_blocks=4, kernel_size=3)
+    field, store, cfg = make_field(dilations=(3, 5, 7, 9), kernel_size=3)
     rng = np.random.default_rng(4)
     for name in store.names():
         store[name].data[...] = rng.standard_normal(store[name].shape) * 0.3
@@ -130,7 +130,5 @@ def test_conditioning_shape_checked():
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        VectorFieldConfig(num_blocks=3, dilations=(1, 2)).validate()
     with pytest.raises(ValidationError):
         VectorFieldConfig(dropout_p=1.0).validate()
