@@ -1,6 +1,11 @@
 """Mel analysis, a toy harmonic-plus-noise synthesizer, synthetic singing
 data with controlled vibrato, autocorrelation f0 extraction, and the
-MCD / F0-RMSE evaluation metrics."""
+MCD / F0-RMSE evaluation metrics.
+
+f0 is reported on the mel frame grid, one value per mel frame, from
+zero-padded analysis frames centred on the mel frames; its period is the
+first autocorrelation peak that reaches the voicing threshold, not the
+global maximum, which lands on sub-harmonics."""
 from __future__ import annotations
 
 import functools
@@ -250,57 +255,80 @@ class F0ExtractConfig:
     fmin_search: float = 60.0
     fmax_search: float = 1000.0
     voicing_threshold: float = 0.5
-    frame_size: int | None = None  # default: 2 periods of fmin_search
-    hop_size: int | None = None  # default: the mel hop
+
+
+def _normalized_autocorrelation(segs: np.ndarray, lag_min: int, lag_max: int) -> np.ndarray:
+    """corr[frame, lag - lag_min] = a.b / sqrt(a.a * b.b) with a = seg[:-lag],
+    b = seg[lag:], for every row of ``segs`` at once; 0 where a or b has no
+    energy. The energies come from prefix and suffix sums of seg**2, so
+    neither is a difference of two large sums."""
+    sq = segs * segs
+    prefix = np.cumsum(sq, axis=1)  # prefix[:, k] = sum of seg[:k + 1]**2
+    suffix = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]  # suffix[:, k] = sum of seg[k:]**2
+    lags = np.arange(lag_min, lag_max + 1)
+    width = segs.shape[1]
+    r = np.empty((segs.shape[0], len(lags)))
+    for j, lag in enumerate(lags):
+        r[:, j] = np.einsum("ij,ij->i", segs[:, :-lag], segs[:, lag:])
+    denom = np.sqrt(prefix[:, width - lags - 1] * suffix[:, lags])
+    return np.divide(r, denom, out=np.zeros_like(r), where=denom > 0)
 
 
 def f0_extract(y: np.ndarray, cfg: MelConfig, xcfg: F0ExtractConfig | None = None):
-    """Per-frame autocorrelation pitch in [fmin_search, fmax_search] Hz.
+    """Per-frame autocorrelation pitch in [fmin_search, fmax_search] Hz on
+    the mel frame grid: ``len(f0) == cfg.frame_count(len(y))``.
 
-    Returns (f0_hz, voiced); a frame is voiced when its normalized
-    autocorrelation peak reaches the voicing threshold. Frames of silence
-    or noise fall below it.
+    Each analysis frame is 2 periods of fmin_search long and centred on its
+    mel frame; the signal is zero-padded by (frame - window)//2 samples on
+    the left and the rest on the right (a negative pad crops). Each frame is
+    demeaned and its normalized autocorrelation taken over the lag window.
+    The pitch period is the first lag that is a strict local maximum of
+    the autocorrelation and reaches the voicing threshold, as YIN takes the
+    first dip (de Cheveigne & Kawahara, 2002), refined by parabolic
+    interpolation; a global maximum would land on a multiple of the period,
+    a sub-harmonic. A frame with no such lag, as in silence or noise, is
+    unvoiced.
+
+    Returns (f0_hz, voiced), with f0 0 on unvoiced frames.
     """
     xcfg = xcfg or F0ExtractConfig()
     y = np.asarray(y, dtype=np.float64)
-    sr = cfg.sample_rate
-    frame = xcfg.frame_size or int(np.ceil(2.0 * sr / xcfg.fmin_search))
-    hop = xcfg.hop_size or cfg.hop_size
-    if frame < 2.0 * sr / xcfg.fmin_search:
+    if y.ndim != 1:
+        raise ValidationError(f"f0_extract: expected 1-D signal, got shape {y.shape}")
+    if not 0 < xcfg.fmin_search < xcfg.fmax_search:
         raise ValidationError(
-            f"f0_extract: frame of {frame} samples < 2 periods of {xcfg.fmin_search} Hz"
+            f"f0_extract: search range [{xcfg.fmin_search}, {xcfg.fmax_search}] Hz needs 0 < fmin < fmax"
         )
-    if len(y) < frame:
-        raise ValidationError(f"f0_extract: signal of {len(y)} samples shorter than frame {frame}")
+    sr, hop = cfg.sample_rate, cfg.hop_size
+    frame = int(np.ceil(2.0 * sr / xcfg.fmin_search))
     lag_min = max(2, int(np.floor(sr / xcfg.fmax_search)))
     lag_max = min(frame - 1, int(np.ceil(sr / xcfg.fmin_search)))
-    n_frames = 1 + (len(y) - frame) // hop
+    if lag_max - lag_min < 2:  # a peak needs a lag on each side
+        raise ValidationError(
+            f"f0_extract: lag window [{lag_min}, {lag_max}] samples for [{xcfg.fmin_search}, "
+            f"{xcfg.fmax_search}] Hz at {sr} Hz has no lag with a neighbour on each side"
+        )
+    if len(y) < max(frame, cfg.window_size):
+        raise ValidationError(
+            f"f0_extract: signal of {len(y)} samples shorter than frame {frame} or window {cfg.window_size}"
+        )
+    n_frames = cfg.frame_count(len(y))
+    left = (frame - cfg.window_size) // 2
+    start = frame - left  # frame 0 in a signal padded by ``frame`` zeros on each side
+    padded = np.pad(y, frame)
+    segs = np.lib.stride_tricks.sliding_window_view(padded, frame)[start : start + n_frames * hop : hop]
+    segs = segs - segs.mean(axis=1, keepdims=True)
+    corr = _normalized_autocorrelation(segs, lag_min, lag_max)
+
+    inner = corr[:, 1:-1]
+    peak = (inner > corr[:, :-2]) & (inner >= corr[:, 2:]) & (inner >= xcfg.voicing_threshold)
+    voiced = peak.any(axis=1)
+    rows = np.flatnonzero(voiced)
+    j = peak[rows].argmax(axis=1) + 1  # first peak, as an index into corr
+    c0, c1, c2 = corr[rows, j - 1], corr[rows, j], corr[rows, j + 1]
     f0 = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
-    for i in range(n_frames):
-        seg = y[i * hop : i * hop + frame]
-        seg = seg - seg.mean()
-        energy = float(seg @ seg)
-        if energy <= 0.0:
-            continue
-        # normalized autocorrelation over the lag window
-        best_lag, best_val = 0, 0.0
-        corr = np.empty(lag_max - lag_min + 1)
-        for j, lag in enumerate(range(lag_min, lag_max + 1)):
-            a, b = seg[:-lag], seg[lag:]
-            denom = np.sqrt(float(a @ a) * float(b @ b))
-            corr[j] = float(a @ b) / denom if denom > 0 else 0.0
-        j = int(np.argmax(corr))
-        best_val = corr[j]
-        best_lag = lag_min + j
-        if best_val >= xcfg.voicing_threshold:
-            lag = float(best_lag)
-            if 0 < j < len(corr) - 1:  # parabolic peak interpolation
-                denom = corr[j - 1] - 2.0 * corr[j] + corr[j + 1]
-                if denom != 0.0:
-                    lag += 0.5 * (corr[j - 1] - corr[j + 1]) / denom
-            f0[i] = sr / lag
-            voiced[i] = True
+    # c1 > c0 and c1 >= c2, so the parabola's curvature c0 - 2 c1 + c2 is < 0
+    f0[rows] = sr / (lag_min + j + 0.5 * (c0 - c2) / (c0 - 2.0 * c1 + c2))
     return f0, voiced
 
 
