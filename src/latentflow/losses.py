@@ -35,10 +35,6 @@ class LossReport:
     terms: dict = field(default_factory=dict)
     total: float = 0.0
 
-    def rows(self, step: int):
-        yield from ((step, name, value) for name, value in self.terms.items())
-        yield (step, "total", self.total)
-
 
 def _mean_sq(x) -> ad.Tensor:
     return ad.mean(ad.square(x))

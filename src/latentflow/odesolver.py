@@ -35,7 +35,6 @@ class SolverConfig:
     abs_tol: float = 1e-5
     rel_tol: float = 1e-5
     max_step: float = 0.1
-    initial_step: float | None = None
     safety: float = 0.9
     min_factor: float = 0.2
     max_factor: float = 5.0
@@ -46,8 +45,6 @@ class SolverConfig:
             raise ValidationError(f"solver: max_step must be in (0, 1], got {self.max_step}")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValidationError("solver: tolerances must be positive")
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise ValidationError("solver: initial_step must be positive")
         return self
 
 
@@ -101,7 +98,7 @@ def solve(rhs, z0: np.ndarray, t0: float = 0.0, t1: float = 1.0, cfg: SolverConf
     z = np.asarray(z0, dtype=np.float64)
     stats = SolveStats()
     t = t0
-    h = min(cfg.initial_step if cfg.initial_step is not None else cfg.max_step, cfg.max_step, t1 - t0)
+    h = min(cfg.max_step, t1 - t0)
     k1: np.ndarray | None = None
     rejected_run = 0
     while t < t1:

@@ -59,13 +59,6 @@ def desk_pipeline_mel() -> MelConfig:
                      mel_bands=16, fmin=0.0, fmax=2000.0)
 
 
-def paper_scale_mel() -> MelConfig:
-    """Analysis preset whose hop matches the full-scale decoder upsampling
-    product 8*8*4*2 = 512."""
-    return MelConfig(sample_rate=22050, fft_size=2048, window_size=2048, hop_size=512,
-                     mel_bands=80, fmin=0.0, fmax=11025.0)
-
-
 @dataclass
 class MelSpectrogram:
     """Natural-log magnitude-mel values, [bands, frames], floored at

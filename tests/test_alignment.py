@@ -1,7 +1,10 @@
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentflow import autodiff as ad
 from latentflow.alignment import (
@@ -11,7 +14,6 @@ from latentflow.alignment import (
     duration_loss,
     durations_from_path,
     mas_align,
-    mas_align_per_note,
     path_score,
 )
 from latentflow.exceptions import ValidationError
@@ -54,16 +56,29 @@ def test_all_zero_ll_ties_break_to_earliest_boundaries():
 
 
 def test_infeasible_note_names_note_id():
-    nb = NoteBoundaryConstraint([5, 5, 5], [5, 5])
     with pytest.raises(ValidationError, match="note 5"):
-        mas_align(np.zeros((3, 2)), nb)
+        NoteBoundaryConstraint([5, 5, 5], [5, 5])
 
 
 def test_constraint_validation():
     with pytest.raises(ValidationError, match="non-decreasing"):
-        NoteBoundaryConstraint([2, 1], [1, 2]).validate()
+        NoteBoundaryConstraint([2, 1], [1, 2])
     with pytest.raises(ValidationError, match="sets differ"):
-        NoteBoundaryConstraint([0, 1], [0, 0, 2]).validate()
+        NoteBoundaryConstraint([0, 1], [0, 0, 2])
+    with pytest.raises(ValidationError, match="1-D"):
+        NoteBoundaryConstraint([[0, 1]], [0, 1])
+
+
+def test_constraint_is_frozen_and_owns_read_only_ids():
+    tok, frm = np.array([0, 0, 1]), np.array([0, 0, 1, 1])
+    nb = NoteBoundaryConstraint(tok, frm)
+    with pytest.raises(FrozenInstanceError):
+        nb.token_note_id = np.array([0, 1, 1])
+    with pytest.raises(ValueError):
+        nb.token_note_id[0] = 1
+    assert tok.flags.writeable and frm.flags.writeable
+    tok[2] = 7  # the caller's array is not the constraint's
+    np.testing.assert_array_equal(nb.token_note_id, [0, 0, 1])
 
 
 def test_exhaustive_agreement_small_instances():
@@ -118,6 +133,20 @@ def test_constant_shift_changes_score_not_path():
     assert shifted_score == pytest.approx(score + 2.5 * 7, rel=1e-12)
 
 
+def _mas_align_per_note(ll, nb):
+    """Reference exploiting per-note independence: one unconstrained search
+    per note's sub-block, concatenated."""
+    durations = []
+    score = 0.0
+    for note in np.unique(nb.token_note_id):
+        ti = np.nonzero(nb.token_note_id == note)[0]
+        fi = np.nonzero(nb.frame_note_id == note)[0]
+        path, s = mas_align(ll[np.ix_(ti, fi)], single(len(ti), len(fi)))
+        durations.append(path.durations)
+        score += s
+    return AlignmentPath(np.concatenate(durations)), score
+
+
 def test_per_note_decomposition_matches_global():
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -125,9 +154,44 @@ def test_per_note_decomposition_matches_global():
         nb = _random_constraint(rng, n, t)
         ll = rng.standard_normal((n, t))
         p_global, s_global = mas_align(ll, nb)
-        p_split, s_split = mas_align_per_note(ll, nb)
+        p_split, s_split = _mas_align_per_note(ll, nb)
         assert s_global == pytest.approx(s_split, abs=1e-12)
         np.testing.assert_array_equal(p_global.durations, p_split.durations)
+        p_bf, s_bf = brute_force_align(ll, nb)
+        assert s_global == s_bf
+        np.testing.assert_array_equal(p_global.durations, p_bf.durations)
+
+
+@st.composite
+def _constrained_instances(draw):
+    """A note-constrained instance within the brute-force guard (6x12);
+    ``ll`` comes from a small value set (so ties occur) or from floats."""
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(n, 12))
+    n_notes = draw(st.integers(1, n))
+    tok_counts = np.ones(n_notes, dtype=np.int64)
+    for _ in range(n - n_notes):
+        tok_counts[draw(st.integers(0, n_notes - 1))] += 1
+    frm_counts = tok_counts.copy()
+    for _ in range(t - n):
+        frm_counts[draw(st.integers(0, n_notes - 1))] += 1
+    nb = NoteBoundaryConstraint(np.repeat(np.arange(n_notes), tok_counts), np.repeat(np.arange(n_notes), frm_counts))
+    values = st.one_of(
+        st.sampled_from((0.0, -1.0, 2.5)),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    )
+    ll = np.array(draw(st.lists(values, min_size=n * t, max_size=n * t))).reshape(n, t)
+    return ll, nb
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_constrained_instances())
+def test_mas_align_equals_brute_force_property(instance):
+    ll, nb = instance
+    p_dp, s_dp = mas_align(ll, nb)
+    p_bf, s_bf = brute_force_align(ll, nb)
+    assert s_dp == s_bf
+    np.testing.assert_array_equal(p_dp.durations, p_bf.durations)
 
 
 def test_brute_force_guard():

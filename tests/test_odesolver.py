@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import expm
 
 from latentflow.exceptions import NumericalError, ValidationError
 from latentflow.flowmatch import GaussianTransportSpec, gaussian_oracle_velocity
@@ -106,3 +110,23 @@ def test_config_validation():
         SolverConfig(abs_tol=-1.0).validate()
     with pytest.raises(ValidationError):
         solve(lambda z, t: z, np.array(1.0), t0=1.0, t1=0.0)
+
+
+@st.composite
+def _linear_systems(draw):
+    d = draw(st.integers(1, 4))
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    return draw(hnp.arrays(np.float64, (d, d), elements=entries)), draw(hnp.arrays(np.float64, d, elements=entries))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_linear_systems())
+@example((np.ones((4, 4)), np.ones(4)))  # the largest growth the bounds allow: e^4
+def test_solve_linear_system_matches_matrix_exponential(system):
+    # The allowed global error, 1e-5 * (1 + |exact|) elementwise, uses the
+    # default tolerances (1e-5 absolute and relative). The worst case measured
+    # is the e^4 example, at 0.52 of it (2.9e-4 absolute on values of 54.6).
+    a, z0 = system
+    z1, _ = solve(lambda z, t: a @ z, z0)
+    exact = expm(a) @ z0
+    np.testing.assert_array_less(np.abs(z1 - exact), 1e-5 * (1.0 + np.abs(exact)))
