@@ -65,8 +65,11 @@ def mul(a, b) -> Tensor:
 
 
 def leaky_relu(x, slope: float = 0.1) -> Tensor:
+    """max(x, slope * x), which is leaky ReLU for slopes in [0, 1]."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu: slope must be in [0, 1], got {slope}")
     xv = value(x)
-    out = np.where(xv > 0, xv, slope * xv)
+    out = np.maximum(xv, slope * xv)
     return _make("leaky_relu", (x,), out, lambda g: (np.where(xv > 0, g, slope * g),))
 
 
@@ -292,8 +295,11 @@ def _col2im(cols: np.ndarray, length: int, dilation: int, stride: int) -> np.nda
 
 
 def _dense(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Windows [B, Cin, K, T] times weight [Cout, Cin, K] -> [B, Cout, T]."""
-    return np.ascontiguousarray(np.tensordot(cols, w, axes=([1, 2], [1, 2])).transpose(0, 2, 1))
+    """Windows [B, Cin, K, T] times weight [Cout, Cin, K] -> [B, Cout, T]:
+    one matmul of w as [Cout, Cin*K] against the windows as [B, Cin*K, T]
+    (a view when K == 1)."""
+    B, Ci, K, T = cols.shape
+    return w.reshape(w.shape[0], Ci * K) @ cols.reshape(B, Ci * K, T)
 
 
 def _dense_t(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -307,13 +313,15 @@ def _dense_w(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _add_bias(op: str, out: np.ndarray, bias) -> np.ndarray:
-    """out[B, C, T] plus a per-channel bias[C], if one is given."""
+    """out[B, C, T] plus a per-channel bias[C], if one is given, added in
+    place: out must be a fresh array the caller owns."""
     if bias is None:
         return out
     bv = value(bias)
     if bv.shape != (out.shape[1],):
         raise ValueError(f"{op}: bias shape {bv.shape} != ({out.shape[1]},)")
-    return out + bv[:, None]
+    out += bv[:, None]
+    return out
 
 
 def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1, padding=None) -> Tensor:

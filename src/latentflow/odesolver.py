@@ -29,12 +29,21 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 52
 
 @dataclass
 class SolverConfig:
-    """Adaptive step-control settings; defaults follow the reference setup
-    (tolerances 1e-5, max step 0.1 so a unit interval takes >= 10 steps)."""
+    """Adaptive step-control settings.
 
-    abs_tol: float = 1e-5
-    rel_tol: float = 1e-5
-    max_step: float = 0.1
+    The defaults (tolerances 3e-4, max step 0.5) are the cheapest setting
+    charted whose refined latents are no further from the Gaussian oracle
+    than at tolerances 1e-5 with max step 0.1, on each of seven seeds of
+    the benchmark's synth workload (``scripts/solver_chart.py``). There the
+    field's fit error (W1 about 0.017 to the oracle) swamps the solver
+    error (W1 0.002-0.005 to a 1e-7 solve), and a solve makes about 86
+    velocity-field calls instead of 530. Pass tighter settings where the
+    right-hand side is exact and the solver error is what is measured.
+    """
+
+    abs_tol: float = 3e-4
+    rel_tol: float = 3e-4
+    max_step: float = 0.5
     safety: float = 0.9
     min_factor: float = 0.2
     max_factor: float = 5.0

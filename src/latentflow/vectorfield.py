@@ -2,6 +2,7 @@
 convolution blocks with a sinusoidal time embedding injected per block."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,13 +15,16 @@ _OMEGA_LO = 1.0
 _OMEGA_HI = 1000.0
 
 
+@functools.cache
 def time_frequencies(dim: int) -> np.ndarray:
+    """The dim // 2 angular frequencies, read-only: every caller shares one
+    array per dim."""
     if dim < 2 or dim % 2:
         raise ValidationError(f"time embedding dim must be even and >= 2, got {dim}")
     n = dim // 2
-    if n == 1:
-        return np.array([_OMEGA_LO])
-    return np.exp(np.linspace(np.log(_OMEGA_LO), np.log(_OMEGA_HI), n))
+    w = np.array([_OMEGA_LO]) if n == 1 else np.exp(np.linspace(np.log(_OMEGA_LO), np.log(_OMEGA_HI), n))
+    w.setflags(write=False)
+    return w
 
 
 def time_embedding(t: float, dim: int) -> np.ndarray:

@@ -37,6 +37,12 @@ def test_leaky_relu_value_and_gradient():
     assert grads["x"] == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("slope", [-0.1, 1.5])
+def test_leaky_relu_rejects_slope_outside_unit_interval(slope):
+    with pytest.raises(ValueError, match="leaky_relu"):
+        ad.leaky_relu(np.ones(3), slope)
+
+
 def test_backward_sum_of_squares():
     store = ad.ParamStore()
     w = store.create("w", [1.0, 2.0])
@@ -131,6 +137,43 @@ def test_conv_transpose1d_is_the_adjoint_of_strided_conv1d(cin, cout, k, stride)
     lhs = np.vdot(ad.conv_transpose1d(x, w, stride=stride).data, y)
     rhs = np.vdot(x, ad.conv1d(y, w, stride=stride, padding=(k - stride) // 2).data)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _conv1d_direct(x, w, bias, stride, dilation, pad, depthwise):
+    """conv1d as the defining sum over taps and input channels, one output
+    sample at a time; a depthwise weight [C, 1, K] reads only its own channel."""
+    B, _, T = x.shape
+    Co, Cig, K = w.shape
+    t_out = (T + 2 * pad - (K - 1) * dilation - 1) // stride + 1
+    out = np.zeros((B, Co, t_out))
+    for b in range(B):
+        for o in range(Co):
+            for t in range(t_out):
+                acc = bias[o]
+                for i in range(Cig):
+                    for j in range(K):
+                        s = t * stride + j * dilation - pad
+                        if 0 <= s < T:
+                            acc += w[o, i, j] * x[b, o if depthwise else i, s]
+                out[b, o, t] = acc
+    return out
+
+
+@pytest.mark.parametrize("depthwise", [False, True])
+@pytest.mark.parametrize("kernel", [1, 3])
+@pytest.mark.parametrize("dilation", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [None, 2])
+def test_conv1d_matches_direct_sum(depthwise, kernel, dilation, stride, padding):
+    rng = np.random.default_rng([kernel, dilation, stride])
+    cin, cout = (3, 3) if depthwise else (3, 4)
+    x = rng.standard_normal((2, cin, 11))
+    w = rng.standard_normal((cout, 1 if depthwise else cin, kernel))
+    bias = rng.standard_normal(cout)
+    out = ad.conv1d(x, w, bias, stride=stride, dilation=dilation, groups=cin if depthwise else 1, padding=padding)
+    pad = (kernel - 1) * dilation // 2 if padding is None else padding
+    expected = _conv1d_direct(x, w, bias, stride, dilation, pad, depthwise)
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("cin,cout,groups", [(4, 4, 2), (3, 6, 3)])

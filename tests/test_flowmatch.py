@@ -179,6 +179,23 @@ def test_transported_samples_match_posterior_moments(trained_gaussian_field):
     assert abs(std - spec.r) <= 0.10 * spec.r
 
 
+def test_default_solver_budget_on_trained_field(trained_gaussian_field):
+    # NFE and solver error at the SolverConfig defaults, the error taken
+    # against a 1e-7 solve of the same 100 samples (which is within W1 2.4e-5
+    # of a 1e-8 solve). Measured on samples from seeds 2 to 5: NFE 31-43,
+    # solver W1 0.0041-0.0078 and max-abs 0.038-0.050, against a fit W1 to
+    # the oracle of 0.008-0.010. The former defaults (tolerances 1e-5, max
+    # step 0.1) took 361-367 NFE. The bounds leave about 15-30% margin.
+    spec, field, _ = trained_gaussian_field
+    z0 = spec.a + spec.s * np.random.default_rng(2).standard_normal((100, 8, 1))
+    rhs = lambda z, t: field(z, t).data
+    z1, stats = solve(rhs, z0)
+    ref, _ = solve(rhs, z0, cfg=SolverConfig(abs_tol=1e-7, rel_tol=1e-7, max_step=1.0))
+    assert stats.rhs_evals <= 50
+    assert wasserstein1_sorted(z1.ravel(), ref.ravel()) <= 0.01
+    assert np.max(np.abs(z1 - ref)) <= 0.065
+
+
 def test_oracle_velocity_symmetric_stds_at_half():
     spec = GaussianTransportSpec(a=-1.0, s=0.7, b=2.0, r=0.7)
     z = np.linspace(-5, 5, 11)
@@ -213,7 +230,10 @@ def test_oracle_velocity_monte_carlo_regression_at_t0():
 def test_oracle_flow_map_consistent_with_integration():
     spec = GaussianTransportSpec(a=0.5, s=1.2, b=-1.0, r=0.4)
     z0 = np.array([-0.7, 0.5, 1.7])
-    z1, _ = solve(lambda z, t: gaussian_oracle_velocity(spec, t, z), z0)
+    z1, _ = solve(
+        lambda z, t: gaussian_oracle_velocity(spec, t, z), z0,
+        cfg=SolverConfig(abs_tol=1e-5, rel_tol=1e-5, max_step=0.1),
+    )
     np.testing.assert_allclose(z1, gaussian_flow_map(spec, z0, 1.0), atol=1e-4)
 
 
