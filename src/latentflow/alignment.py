@@ -190,13 +190,9 @@ def durations_from_path(path: AlignmentPath) -> np.ndarray:
     return path.durations.copy()
 
 
-def duration_loss(d_target: np.ndarray, log_d_pred, raw: bool = False):
-    """Mean squared duration error against aligner-derived targets.
-
-    The head predicts log-durations; by default the error is taken in the
-    log domain. ``raw=True`` compares exp(prediction) to the raw frame
-    counts instead.
-    """
+def duration_loss(d_target: np.ndarray, log_d_pred):
+    """Mean squared error, in the log domain, of predicted log-durations
+    against aligner-derived frame counts."""
     d_target = np.asarray(d_target, dtype=np.float64)
     pv = ad.value(log_d_pred)
     if d_target.shape != pv.shape:
@@ -204,9 +200,4 @@ def duration_loss(d_target: np.ndarray, log_d_pred, raw: bool = False):
     if np.any(d_target < 1):
         raise ValidationError("duration_loss: target durations must be >= 1")
 
-    def body():
-        if raw:
-            return ad.mean(ad.square(ad.sub(ad.exp(log_d_pred), d_target)))
-        return ad.mean(ad.square(ad.sub(log_d_pred, np.log(d_target))))
-
-    return ad.evaluate(body, log_d_pred)
+    return ad.evaluate(lambda: ad.mean(ad.square(ad.sub(log_d_pred, np.log(d_target)))), log_d_pred)

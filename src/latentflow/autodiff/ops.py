@@ -2,7 +2,11 @@
 
 Conventions:
   - Operands may be Tensors, ndarrays, or Python scalars. Non-Tensor
-    operands are constants and receive no gradient.
+    operands, and an optional bias left as None, are constants.
+  - Each op hands ``_make`` one ``(operand, vjp)`` edge per operand; vjp
+    maps the output gradient to that operand's gradient, one array of its
+    shape. The tape keeps only edges whose operand is a Tensor, so no vjp
+    ever runs for a constant.
   - Elementwise binary ops require the result shape to equal every Tensor
     operand's shape (constants may broadcast up to it); general
     tensor-tensor broadcasting is deliberately unsupported. Bias-style
@@ -14,15 +18,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _check_finite, active_tape, value
+from .tensor import Node, Tensor, _check_finite, active_tape, value
 
 
-def _make(op: str, parents: tuple, out_data: np.ndarray, vjp) -> Tensor:
+def _make(op: str, out_data: np.ndarray, *edges) -> Tensor:
     _check_finite(op, out_data)
     out = Tensor(out_data)
     tape = active_tape()
-    if tape is not None and any(isinstance(p, Tensor) for p in parents):
-        tape.record(op, parents, out, vjp)
+    if tape is not None:
+        edges = [e for e in edges if isinstance(e[0], Tensor)]
+        if edges:
+            tape.nodes.append(Node(op, out, edges))
     return out
 
 
@@ -51,17 +57,17 @@ def _binary_vals(op: str, a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def add(a, b) -> Tensor:
     av, bv = _binary_vals("add", a, b)
-    return _make("add", (a, b), av + bv, lambda g: (g, g))
+    return _make("add", av + bv, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
     av, bv = _binary_vals("sub", a, b)
-    return _make("sub", (a, b), av - bv, lambda g: (g, -g))
+    return _make("sub", av - bv, (a, lambda g: g), (b, np.negative))
 
 
 def mul(a, b) -> Tensor:
     av, bv = _binary_vals("mul", a, b)
-    return _make("mul", (a, b), av * bv, lambda g: (g * bv, g * av))
+    return _make("mul", av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
 def leaky_relu(x, slope: float = 0.1) -> Tensor:
@@ -70,39 +76,40 @@ def leaky_relu(x, slope: float = 0.1) -> Tensor:
         raise ValueError(f"leaky_relu: slope must be in [0, 1], got {slope}")
     xv = value(x)
     out = np.maximum(xv, slope * xv)
-    return _make("leaky_relu", (x,), out, lambda g: (np.where(xv > 0, g, slope * g),))
+    # g where x > 0, else slope * g, without np.where's slow select (exact at 0.1)
+    return _make("leaky_relu", out, (x, lambda g: g * (slope + (1.0 - slope) * (xv > 0))))
 
 
 def tanh(x) -> Tensor:
     out = np.tanh(value(x))
-    return _make("tanh", (x,), out, lambda g: (g * (1.0 - out * out),))
+    return _make("tanh", out, (x, lambda g: g * (1.0 - out * out)))
 
 
 def exp(x) -> Tensor:
     out = np.exp(value(x))
-    return _make("exp", (x,), out, lambda g: (g * out,))
+    return _make("exp", out, (x, lambda g: g * out))
 
 
 def log(x) -> Tensor:
     xv = value(x)
     out = np.log(xv)
-    return _make("log", (x,), out, lambda g: (g / xv,))
+    return _make("log", out, (x, lambda g: g / xv))
 
 
 def sqrt(x) -> Tensor:
     xv = value(x)
     out = np.sqrt(xv)
-    return _make("sqrt", (x,), out, lambda g: (g * (0.5 / out),))
+    return _make("sqrt", out, (x, lambda g: g * (0.5 / out)))
 
 
 def square(x) -> Tensor:
     xv = value(x)
-    return _make("square", (x,), xv * xv, lambda g: (2.0 * xv * g,))
+    return _make("square", xv * xv, (x, lambda g: 2.0 * xv * g))
 
 
 def absolute(x) -> Tensor:
     xv = value(x)
-    return _make("abs", (x,), np.abs(xv), lambda g: (g * np.sign(xv),))
+    return _make("abs", np.abs(xv), (x, lambda g: g * np.sign(xv)))
 
 
 def clamp(x, lo: float | None = None, hi: float | None = None) -> Tensor:
@@ -113,7 +120,7 @@ def clamp(x, lo: float | None = None, hi: float | None = None) -> Tensor:
         pass_mask &= xv > lo
     if hi is not None:
         pass_mask &= xv < hi
-    return _make("clamp", (x,), out, lambda g: (np.where(pass_mask, g, 0.0),))
+    return _make("clamp", out, (x, lambda g: np.where(pass_mask, g, 0.0)))
 
 
 def dropout(x, p: float, rng: np.random.Generator | None = None, training: bool = False) -> Tensor:
@@ -126,7 +133,7 @@ def dropout(x, p: float, rng: np.random.Generator | None = None, training: bool 
         raise ValueError("dropout: training mode requires a seeded Generator")
     xv = value(x)
     keep = (rng.random(xv.shape) >= p) / (1.0 - p)
-    return _make("dropout", (x,), xv * keep, lambda g: (g * keep,))
+    return _make("dropout", xv * keep, (x, lambda g: g * keep))
 
 
 # ---------------------------------------------------------------------------
@@ -135,38 +142,34 @@ def dropout(x, p: float, rng: np.random.Generator | None = None, training: bool 
 
 def total(x) -> Tensor:
     xv = value(x)
-    return _make("sum", (x,), np.asarray(xv.sum()), lambda g: (np.broadcast_to(g, xv.shape).copy(),))
+    return _make("sum", np.asarray(xv.sum()), (x, lambda g: np.broadcast_to(g, xv.shape).copy()))
 
 
 def mean(x) -> Tensor:
     xv = value(x)
     n = xv.size
-    return _make("mean", (x,), np.asarray(xv.mean()), lambda g: (np.broadcast_to(g / n, xv.shape).copy(),))
+    return _make("mean", np.asarray(xv.mean()), (x, lambda g: np.broadcast_to(g / n, xv.shape).copy()))
 
 
 def reshape(x, shape) -> Tensor:
     xv = value(x)
     out = xv.reshape(shape)
-    return _make("reshape", (x,), out, lambda g: (g.reshape(xv.shape),))
+    return _make("reshape", out, (x, lambda g: g.reshape(xv.shape)))
 
 
 def transpose(x, axes) -> Tensor:
     xv = value(x)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return _make("transpose", (x,), xv.transpose(axes).copy(), lambda g: (g.transpose(inv),))
+    return _make("transpose", xv.transpose(axes).copy(), (x, lambda g: g.transpose(inv)))
 
 
 def concat(parts, axis: int) -> Tensor:
     vals = [value(p) for p in parts]
     out = np.concatenate(vals, axis=axis)
-    sizes = [v.shape[axis] for v in vals]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make("concat", tuple(parts), out, vjp)
+    splits = np.cumsum([v.shape[axis] for v in vals])[:-1]
+    edges = [(p, lambda g, i=i: np.split(g, splits, axis=axis)[i]) for i, p in enumerate(parts)]
+    return _make("concat", out, *edges)
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
@@ -183,9 +186,9 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     def vjp(g):
         full = np.zeros_like(xv)
         full[idx] = g
-        return (full,)
+        return full
 
-    return _make("narrow", (x,), xv[idx].copy(), vjp)
+    return _make("narrow", xv[idx].copy(), (x, vjp))
 
 
 def pad_last(x, before: int, after: int) -> Tensor:
@@ -194,7 +197,7 @@ def pad_last(x, before: int, after: int) -> Tensor:
     width = [(0, 0)] * (xv.ndim - 1) + [(before, after)]
     out = np.pad(xv, width)
     sl = (Ellipsis, slice(before, before + xv.shape[-1]))
-    return _make("pad_last", (x,), out, lambda g: (g[sl],))
+    return _make("pad_last", out, (x, lambda g: g[sl]))
 
 
 def take_rows(w, ids) -> Tensor:
@@ -209,9 +212,9 @@ def take_rows(w, ids) -> Tensor:
     def vjp(g):
         gw = np.zeros_like(wv)
         np.add.at(gw, ids, g)
-        return (gw,)
+        return gw
 
-    return _make("take_rows", (w,), wv[ids].copy(), vjp)
+    return _make("take_rows", wv[ids].copy(), (w, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +227,8 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul: unsupported operand ranks {av.ndim} and {bv.ndim}")
     if av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul: inner dims disagree, {av.shape} @ {bv.shape}")
-    out = av @ bv
-
-    if bv.ndim == 2:
-
-        def vjp(g):
-            return (g @ bv.T, av.T @ g)
-
-    else:
-
-        def vjp(g):
-            return (np.outer(g, bv), av.T @ g)
-
-    return _make("matmul", (a, b), out, vjp)
+    ga = (lambda g: g @ bv.T) if bv.ndim == 2 else (lambda g: np.outer(g, bv))
+    return _make("matmul", av @ bv, (a, ga), (b, lambda g: av.T @ g))
 
 
 def add_channel_bias(x, b) -> Tensor:
@@ -244,13 +236,8 @@ def add_channel_bias(x, b) -> Tensor:
     xv, bv = value(x), value(b)
     if bv.ndim != 1 or xv.ndim < 2 or xv.shape[-2] != bv.shape[0]:
         raise ValueError(f"add_channel_bias: shapes {xv.shape} and {bv.shape} do not conform")
-    out = xv + bv[:, None]
-
-    def vjp(g):
-        axes = tuple(i for i in range(g.ndim) if i != g.ndim - 2)
-        return (g, g.sum(axis=axes))
-
-    return _make("add_channel_bias", (x, b), out, vjp)
+    axes = tuple(i for i in range(xv.ndim) if i != xv.ndim - 2)
+    return _make("add_channel_bias", xv + bv[:, None], (x, lambda g: g), (b, lambda g: g.sum(axis=axes)))
 
 
 def add_frame_bias(x, b) -> Tensor:
@@ -258,7 +245,7 @@ def add_frame_bias(x, b) -> Tensor:
     xv, bv = value(x), value(b)
     if xv.ndim != 3 or bv.shape != (xv.shape[0], xv.shape[1], 1):
         raise ValueError(f"add_frame_bias: shapes {xv.shape} and {bv.shape} do not conform")
-    return _make("add_frame_bias", (x, b), xv + bv, lambda g: (g, g.sum(axis=2, keepdims=True)))
+    return _make("add_frame_bias", xv + bv, (x, lambda g: g), (b, lambda g: g.sum(axis=2, keepdims=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +348,15 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
         out = _dense(cols, wv)
     out = _add_bias("conv1d", out, bias)
 
-    def vjp(g):
-        if depthwise:
-            gw = np.einsum("bcjt,bct->cj", cols, g)[:, None, :]
-            gcols = wv[None, :, 0, :, None] * g[:, :, None, :]
-        else:
-            gw = _dense_w(g, cols)
-            gcols = _dense_t(g, wv)
+    def vjp_x(g):
+        gcols = wv[None, :, 0, :, None] * g[:, :, None, :] if depthwise else _dense_t(g, wv)
         gxp = _col2im(gcols, T + 2 * pad, dilation, stride)
-        gx = gxp[:, :, pad : pad + T] if pad else gxp
-        gb = g.sum(axis=(0, 2)) if bias is not None else None
-        return (gx, gw, gb)
+        return gxp[:, :, pad : pad + T] if pad else gxp
 
-    return _make("conv1d", (x, w, bias), out, vjp)
+    def vjp_w(g):
+        return np.einsum("bcjt,bct->cj", cols, g)[:, None, :] if depthwise else _dense_w(g, cols)
+
+    return _make("conv1d", out, (x, vjp_x), (w, vjp_w), (bias, lambda g: g.sum(axis=(0, 2))))
 
 
 def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor:
@@ -397,14 +380,13 @@ def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor:
     out_full = _col2im(_dense_t(xv, wv), full, 1, stride)
     out = _add_bias("conv_transpose1d", out_full[:, :, pad : pad + stride * T].copy(), bias)
 
-    def vjp(g):
+    def gcols(g):
         gfull = np.zeros((B, Co, full))
         gfull[:, :, pad : pad + stride * T] = g
-        gcols = _im2col(gfull, K, 1, stride, T)
-        gb = g.sum(axis=(0, 2)) if bias is not None else None
-        return (_dense(gcols, wv), _dense_w(xv, gcols), gb)
+        return _im2col(gfull, K, 1, stride, T)
 
-    return _make("conv_transpose1d", (x, w, bias), out, vjp)
+    return _make("conv_transpose1d", out, (x, lambda g: _dense(gcols(g), wv)),
+                 (w, lambda g: _dense_w(xv, gcols(g))), (bias, lambda g: g.sum(axis=(0, 2))))
 
 
 def frame_signal(x, frame: int, hop: int) -> Tensor:
@@ -418,7 +400,7 @@ def frame_signal(x, frame: int, hop: int) -> Tensor:
         raise ValueError(f"frame_signal: signal of {L} samples shorter than frame {frame}")
     n = 1 + (L - frame) // hop
     out = _im2col(xv, frame, 1, hop, n).T.copy()
-    return _make("frame_signal", (x,), out, lambda g: (_col2im(g.T, L, 1, hop),))
+    return _make("frame_signal", out, (x, lambda g: _col2im(g.T, L, 1, hop)))
 
 
 _MAG_FLOOR = 1e-30  # keeps the magnitude differentiable at silent bins
@@ -440,6 +422,6 @@ def rfft_magnitude(x, n: int) -> Tensor:
     def vjp(g):
         y = (g / out) * spec
         y[:, 1 : (n + 1) // 2] *= 0.5
-        return (n * np.fft.irfft(y, n=n, axis=1)[:, : xv.shape[1]],)
+        return n * np.fft.irfft(y, n=n, axis=1)[:, : xv.shape[1]]
 
-    return _make("rfft_magnitude", (x,), out, vjp)
+    return _make("rfft_magnitude", out, (x, vjp))

@@ -1,14 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A ``Tape`` is the computation record: while active, every primitive op
-appends one node holding its parents, its output, and a closure computing
-vector-Jacobian products. Nodes are appended in execution order, so the
-list is topologically sorted by construction and ``backward`` is a single
-reverse sweep that visits each node exactly once.
+with a Tensor operand appends one ``Node`` holding the op's name, its
+output and one ``(operand, vjp)`` edge per Tensor operand, where vjp maps
+the output's gradient to that operand's. Nodes are appended in execution
+order, so the list is topologically sorted by construction; ``grad`` marks
+what depends on ``wrt`` in one forward pass, then runs one reverse sweep.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -82,15 +83,15 @@ class Tensor:
 
 
 class Node:
-    """One recorded op: parents, output, and the VJP closure."""
+    """One recorded op: its name, its output, and one (operand, vjp) edge
+    per Tensor operand."""
 
-    __slots__ = ("op", "parents", "out", "vjp")
+    __slots__ = ("op", "out", "edges")
 
-    def __init__(self, op: str, parents: tuple, out: Tensor, vjp: Callable[[np.ndarray], Sequence]):
+    def __init__(self, op: str, out: Tensor, edges: list[tuple[Tensor, Callable]]):
         self.op = op
-        self.parents = parents
         self.out = out
-        self.vjp = vjp
+        self.edges = edges
 
 
 class Tape:
@@ -106,9 +107,6 @@ class Tape:
     def __exit__(self, *exc) -> None:
         popped = _TAPES.pop()
         assert popped is self, "tape stack corrupted"
-
-    def record(self, op: str, parents: tuple, out: Tensor, vjp: Callable) -> None:
-        self.nodes.append(Node(op, parents, out, vjp))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -161,19 +159,24 @@ def grad(loss: Tensor, wrt: Iterable[Tensor], tape: Tape) -> list[np.ndarray]:
     """Vector-Jacobian sweep of ``tape`` from scalar ``loss``.
 
     Returns one gradient array per tensor in ``wrt``; tensors unreachable
-    from the loss get zeros of their shape.
+    from the loss get zeros of their shape. Only edges whose operand depends
+    on ``wrt`` run their vjp, so no gradient is formed for a constant or for
+    a tensor outside ``wrt``'s reach.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+    wrt = list(wrt)
+    marked = {id(w) for w in wrt}
+    for node in tape.nodes:
+        if any(id(operand) in marked for operand, _ in node.edges):
+            marked.add(id(node.out))
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
     for node in reversed(tape.nodes):
-        g_out = grads.get(id(node.out))
-        if g_out is None:
+        if id(node.out) not in grads:
             continue
-        parent_grads = node.vjp(g_out)
-        for parent, g in zip(node.parents, parent_grads):
-            if g is None or not isinstance(parent, Tensor):
-                continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = g if acc is None else acc + g
+        g_out = grads[id(node.out)]
+        for operand, vjp in node.edges:
+            if id(operand) in marked:
+                g = vjp(g_out)
+                grads[id(operand)] = grads[id(operand)] + g if id(operand) in grads else g
     return [grads.get(id(w), np.zeros_like(w.data)) for w in wrt]

@@ -101,11 +101,10 @@ def mel_reconstruction(y_ref, y_gen, cfg: MelConfig) -> ad.Tensor:
     return ad.mean(ad.absolute(ad.sub(mel_transform_t(y_gen, cfg), mel_transform_t(ref, cfg))))
 
 
-def dsp_consistency(y_dsp, y_ref, cfg: MelConfig, lambda_dsp: float = 45.0) -> ad.Tensor:
-    """Weighted mel L1 anchoring the signal-processing branch to the
-    target; carries its weight internally."""
-    loss = mel_reconstruction(y_ref, y_dsp, cfg)
-    return ad.mul(loss, float(lambda_dsp))
+def dsp_consistency(y_dsp, y_ref, cfg: MelConfig) -> ad.Tensor:
+    """Mel L1 anchoring the signal-processing branch to the target, carrying
+    its weight of 45 internally."""
+    return ad.mul(mel_reconstruction(y_ref, y_dsp, cfg), 45.0)
 
 
 def aux_prediction(true_log_f0, true_mel, pred_log_f0, pred_mel) -> ad.Tensor:

@@ -25,6 +25,8 @@ _A = [
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b5 - b4: weights of the embedded error estimate
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# step-size control: the factor _SAFETY * err^(-1/5), clamped to [_MIN_FACTOR, _MAX_FACTOR]
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
 
 
 @dataclass
@@ -44,9 +46,6 @@ class SolverConfig:
     abs_tol: float = 3e-4
     rel_tol: float = 3e-4
     max_step: float = 0.5
-    safety: float = 0.9
-    min_factor: float = 0.2
-    max_factor: float = 5.0
     max_rejected: int = 20
 
     def validate(self) -> "SolverConfig":
@@ -136,7 +135,7 @@ def solve(rhs, z0: np.ndarray, t0: float = 0.0, t1: float = 1.0, cfg: SolverConf
                 raise NumericalError(
                     f"solve: {rejected_run} consecutive rejected steps at t={t:.6g} (h={h:.3g}, err={err:.3g})"
                 )
-        factor = cfg.max_factor if err == 0.0 else cfg.safety * err ** (-0.2)
-        factor = min(max(factor, cfg.min_factor), cfg.max_factor)
+        factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-0.2)
+        factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
         h = min(h * factor, cfg.max_step)
     return z, stats

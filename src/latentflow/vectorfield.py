@@ -27,12 +27,9 @@ def time_frequencies(dim: int) -> np.ndarray:
     return w
 
 
-def time_embedding(t: float, dim: int) -> np.ndarray:
-    """[sin(t*w_k), cos(t*w_k)] for geometrically spaced w_k; t in [0, 1]."""
-    return time_embedding_batch(t, dim)[0]
-
-
 def time_embedding_batch(ts: np.ndarray, dim: int) -> np.ndarray:
+    """[B, dim] rows [sin(t*w_k), cos(t*w_k)] for geometrically spaced w_k,
+    one per t in ``ts`` (a scalar counts as one); every t lies in [0, 1]."""
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     if ts.min() < 0.0 or ts.max() > 1.0:
         raise ValidationError("time embedding: all t values must lie in [0, 1]")

@@ -221,10 +221,9 @@ def test_duration_loss_log_domain():
         assert duration_loss(tgt, pred) == pytest.approx(expected, rel=1e-12)
 
 
-def test_duration_loss_raw_domain_and_tensor_mode():
+def test_duration_loss_tensor_mode():
     tgt = np.array([2.0, 3.0])
     pred = np.log(np.array([2.0, 3.0]))
-    assert duration_loss(tgt, pred, raw=True) == pytest.approx(0.0)
     store = ad.ParamStore()
     p = store.create("p", pred)
 

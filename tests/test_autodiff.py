@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latentflow import autodiff as ad
+from latentflow.autodiff import ops
 from latentflow.exceptions import NumericalError
 
 
@@ -90,42 +91,90 @@ def test_two_layer_net_37_params_matches_finite_differences():
     assert ad.finite_diff_check(loss_fn, store, h=1e-5) < 1e-4
 
 
+OP_CASES = [
+    ("add", lambda x, y: ad.add(x, y)),
+    ("sub", lambda x, y: ad.sub(x, y)),
+    ("mul", lambda x, y: ad.mul(x, y)),
+    ("leaky_relu", lambda x, y: ad.leaky_relu(ad.mul(x, y), 0.2)),
+    ("tanh", lambda x, y: ad.tanh(ad.mul(x, y))),
+    ("exp", lambda x, y: ad.exp(ad.mul(ad.mul(x, y), 0.3))),
+    ("square", lambda x, y: ad.square(ad.sub(x, y))),
+    ("abs", lambda x, y: ad.absolute(ad.sub(x, y))),
+    ("clamp", lambda x, y: ad.clamp(ad.mul(x, y), -0.5, 0.5)),
+    ("concat", lambda x, y: ad.concat([x, y], axis=0)),
+    ("narrow", lambda x, y: ad.narrow(ad.mul(x, y), 1, 1, 2)),
+    ("pad_last", lambda x, y: ad.pad_last(ad.mul(x, y), 2, 1)),
+    ("reshape", lambda x, y: ad.reshape(ad.mul(x, y), (4, 3))),
+    ("transpose", lambda x, y: ad.transpose(ad.mul(x, y), (1, 0))),
+    ("frame_signal", lambda x, y: ad.frame_signal(ad.reshape(ad.mul(x, y), (12,)), 5, 2)),
+    ("conv_transpose1d", lambda x, y: ad.conv_transpose1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (3, 1, 4)), stride=2)),
+    ("conv1d_strided_padded", lambda x, y: ad.conv1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (2, 3, 2)), stride=2, padding=1)),
+    ("conv1d_dilated", lambda x, y: ad.conv1d(ad.reshape(x, (1, 2, 6)), ad.reshape(y, (2, 2, 3)), dilation=2)),
+    ("conv1d_depthwise", lambda x, y: ad.conv1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (3, 1, 4)), dilation=2, groups=3)),
+    ("rfft_magnitude", lambda x, y: ad.rfft_magnitude(ad.mul(x, y), 8)),
+    ("rfft_magnitude_odd_n", lambda x, y: ad.rfft_magnitude(ad.mul(x, y), 7)),
+]
+
+
+# y is a parameter in the store, an ndarray constant, or a Tensor outside the
+# store; in the last two the check runs over x alone, through every op's
+# skipped-edge path. The parameter mode keeps the ids its cases always had.
 @pytest.mark.parametrize(
-    "name,builder",
+    "name,builder,y_kind",
     [
-        ("add", lambda x, y: ad.add(x, y)),
-        ("sub", lambda x, y: ad.sub(x, y)),
-        ("mul", lambda x, y: ad.mul(x, y)),
-        ("leaky_relu", lambda x, y: ad.leaky_relu(ad.mul(x, y), 0.2)),
-        ("tanh", lambda x, y: ad.tanh(ad.mul(x, y))),
-        ("exp", lambda x, y: ad.exp(ad.mul(ad.mul(x, y), 0.3))),
-        ("square", lambda x, y: ad.square(ad.sub(x, y))),
-        ("abs", lambda x, y: ad.absolute(ad.sub(x, y))),
-        ("clamp", lambda x, y: ad.clamp(ad.mul(x, y), -0.5, 0.5)),
-        ("concat", lambda x, y: ad.concat([x, y], axis=0)),
-        ("narrow", lambda x, y: ad.narrow(ad.mul(x, y), 1, 1, 2)),
-        ("pad_last", lambda x, y: ad.pad_last(ad.mul(x, y), 2, 1)),
-        ("reshape", lambda x, y: ad.reshape(ad.mul(x, y), (4, 3))),
-        ("transpose", lambda x, y: ad.transpose(ad.mul(x, y), (1, 0))),
-        ("frame_signal", lambda x, y: ad.frame_signal(ad.reshape(ad.mul(x, y), (12,)), 5, 2)),
-        ("conv_transpose1d", lambda x, y: ad.conv_transpose1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (3, 1, 4)), stride=2)),
-        ("conv1d_strided_padded", lambda x, y: ad.conv1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (2, 3, 2)), stride=2, padding=1)),
-        ("conv1d_dilated", lambda x, y: ad.conv1d(ad.reshape(x, (1, 2, 6)), ad.reshape(y, (2, 2, 3)), dilation=2)),
-        ("conv1d_depthwise", lambda x, y: ad.conv1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (3, 1, 4)), dilation=2, groups=3)),
-        ("rfft_magnitude", lambda x, y: ad.rfft_magnitude(ad.mul(x, y), 8)),
-        ("rfft_magnitude_odd_n", lambda x, y: ad.rfft_magnitude(ad.mul(x, y), 7)),
+        pytest.param(name, builder, kind, id=f"{name}-<lambda>" if kind == "param" else f"{name}-{kind}")
+        for name, builder in OP_CASES
+        for kind in ("param", "const", "tensor")
     ],
 )
-def test_op_gradients_match_finite_differences(name, builder):
+def test_op_gradients_match_finite_differences(name, builder, y_kind):
     rng = np.random.default_rng(sum(name.encode()))
     store = ad.ParamStore()
     x = store.create("x", rng.standard_normal((3, 4)) + 0.1)
-    y = store.create("y", rng.standard_normal((3, 4)) + 2.0)
+    y = rng.standard_normal((3, 4)) + 2.0
+    if y_kind == "param":
+        y = store.create("y", y)
+    elif y_kind == "tensor":
+        y = ad.Tensor(y)
 
     def loss_fn():
         return ad.mean(ad.square(builder(x, y)))
 
     assert ad.finite_diff_check(loss_fn, store, h=1e-5) < 1e-4
+
+
+def test_grad_runs_no_vjp_for_operands_outside_wrt(monkeypatch):
+    """A gradient with respect to x alone forms no gradient for the conv
+    weights x feeds, and equals x's entry of a full-store sweep."""
+    rng = np.random.default_rng(19)
+    store = ad.ParamStore()
+    x = store.create("x", rng.standard_normal((1, 3, 9)))
+    w = store.create("w", rng.standard_normal((4, 3, 3)))
+    b = store.create("b", rng.standard_normal(4))
+    wt = store.create("wt", rng.standard_normal((4, 2, 4)))
+    with ad.Tape() as tape:
+        h = ad.leaky_relu(ad.conv1d(ad.tanh(x), w, b, dilation=2))
+        loss = ad.mean(ad.square(ad.conv_transpose1d(h, wt, stride=2)))
+    calls = []
+    dense_w = ops._dense_w
+    monkeypatch.setattr(ops, "_dense_w", lambda g, cols: calls.append(cols.shape) or dense_w(g, cols))
+    (gx,) = ad.grad(loss, [x], tape)
+    assert calls == []
+    full = ad.backward(loss, store, tape)
+    assert len(calls) == 2  # the counter sees both weight gradients of a full sweep
+    assert np.array_equal(gx, full["x"])
+
+
+def test_leaky_relu_vjp_is_bit_identical_to_the_select_form():
+    rng = np.random.default_rng(23)
+    xv = rng.standard_normal((1, 32, 509))
+    xv[0, 0, :4] = [0.0, -0.0, 5e-324, -5e-324]
+    g = rng.standard_normal(xv.shape) * 10.0 ** rng.integers(-150, 150, size=xv.shape)
+    x = ad.Tensor(xv)
+    with ad.Tape() as tape:
+        loss = ad.total(ad.mul(ad.leaky_relu(x, 0.1), g))
+    (gx,) = ad.grad(loss, [x], tape)
+    assert np.array_equal(gx, np.where(xv > 0, g, 0.1 * g))
 
 
 @pytest.mark.parametrize("cin,cout,k,stride", [(3, 2, 4, 2), (16, 8, 8, 4), (2, 5, 3, 1), (1, 1, 5, 3)])

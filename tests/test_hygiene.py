@@ -1,6 +1,7 @@
 """Repository hygiene, checked with the standard library only: every
 module-level import in the package is used, every dataclass field is read,
-and every console script declared in pyproject.toml resolves to a callable."""
+every differentiable op has a finite-difference test, and every console
+script declared in pyproject.toml resolves to a callable."""
 import ast
 import importlib
 import tomllib
@@ -61,6 +62,31 @@ def test_every_dataclass_field_is_read():
     fields = [f for path in sorted(PACKAGE.rglob("*.py")) for f in _dataclass_fields(path)]
     assert fields
     assert [f"{cls}.{name}" for cls, name in fields if name not in loads] == []
+
+
+def _called(tree: ast.AST) -> set[str]:
+    """Names of the functions called anywhere in ``tree``, as ``f`` or ``m.f``."""
+    return {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            for n in ast.walk(tree) if isinstance(n, ast.Call)}
+
+
+def test_every_differentiable_op_has_a_finite_difference_test():
+    """Each public op in autodiff/ops.py that records on the tape (calls
+    ``_make``) is called in a test that calls ``finite_diff_check``, either
+    in the test itself or in a module-level value the test names."""
+    tree = ast.parse((PACKAGE / "autodiff" / "ops.py").read_text())
+    ops = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+           and not f.name.startswith("_") and "_make" in _called(f)}
+    checked = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        values = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                  for t in node.targets if isinstance(t, ast.Name)}
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and "finite_diff_check" in _called(fn):
+                named = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+                checked |= _called(fn).union(*(_called(values[n]) for n in named & values.keys()))
+    assert ops and sorted(ops - checked) == []
 
 
 def test_console_scripts_resolve_to_callables():

@@ -21,7 +21,6 @@ TWINS = {
     "sample_reparam": lambda c: sample_reparam(DiagonalGaussianSeq(c(A), c(B)), np.random.default_rng(1)),
     "kl_divergence": lambda c: kl_divergence(DiagonalGaussianSeq(c(A), c(B)), DiagonalGaussianSeq(c(B), c(A))),
     "duration_loss": lambda c: duration_loss(np.array([1.0, 2.0, 3.0]), c(LOG_D)),
-    "duration_loss_raw": lambda c: duration_loss(np.array([1.0, 2.0, 3.0]), c(LOG_D), raw=True),
     "interpolate": lambda c: interpolate(c(A), c(B), 0.3),
     "target_velocity": lambda c: target_velocity(c(A), c(B)),
     "expand_to_frames": lambda c: expand_to_frames(c(A), np.array([1, 2, 1, 3])),

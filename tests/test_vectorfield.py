@@ -4,7 +4,7 @@ import pytest
 from latentflow import autodiff as ad
 from latentflow.exceptions import ValidationError
 from latentflow.odesolver import solve
-from latentflow.vectorfield import VectorFieldConfig, VelocityField, time_embedding
+from latentflow.vectorfield import VectorFieldConfig, VelocityField, time_embedding_batch
 
 
 def make_field(seed=0, **kw):
@@ -15,13 +15,13 @@ def make_field(seed=0, **kw):
 
 
 def test_time_embedding_at_zero():
-    emb = time_embedding(0.0, 8)
+    emb = time_embedding_batch(0.0, 8)[0]
     np.testing.assert_array_equal(emb[:4], 0.0)
     np.testing.assert_array_equal(emb[4:], 1.0)
 
 
 def test_time_embedding_bounded():
-    emb = time_embedding(0.5, 4)
+    emb = time_embedding_batch(0.5, 4)[0]
     assert emb.shape == (4,)
     assert np.all(np.isfinite(emb)) and np.all(np.abs(emb) <= 1.0)
 
@@ -29,7 +29,7 @@ def test_time_embedding_bounded():
 def test_time_embedding_separates_distinct_times():
     dim = 16
     grid = np.linspace(0.0, 1.0, 201)
-    embs = np.stack([time_embedding(t, dim) for t in grid])
+    embs = time_embedding_batch(grid, dim)
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):
             if grid[j] - grid[i] >= 1e-3:
@@ -39,9 +39,9 @@ def test_time_embedding_separates_distinct_times():
 
 def test_time_embedding_rejects_out_of_range():
     with pytest.raises(ValidationError):
-        time_embedding(1.5, 8)
+        time_embedding_batch(1.5, 8)
     with pytest.raises(ValidationError):
-        time_embedding(8, 7)
+        time_embedding_batch(8, 7)
 
 
 def test_zero_init_head_gives_zero_velocity():
