@@ -1,0 +1,120 @@
+"""Paired benchmark runs of a parent checkout against a changed checkout.
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --workload train \
+        --seeds 21 22 23 24 25 26 27 28 29 31 --seconds 34 [--trace 0] [--out FILE]
+
+For each seed, runs the unmodified ``perfbench/run.py`` of each checkout
+once, one after the other, in a fresh process with that checkout as the
+working directory. The side that runs first alternates from pair to pair
+(the parent first in the first pair), so a drift in the host's load falls
+on both sides alike.
+
+For every metric of the result line it reports each side's median and
+quartiles, the parent's spread between quartiles (IQR), and in how many
+pairs the change read better, by the direction ``BENCHMARK.json`` gives the
+metric; ties count for neither side. That is what a speed claim needs: the
+change wins at least nine pairs in ten, and the medians differ by more than
+the parent's IQR. ``quality_err`` is also listed per seed, and failed
+operations against attempted ones. Every run's values are kept under
+``runs``. The summary is printed and, with ``--out``, written as JSON.
+
+Uses the standard library only, so it runs with any Python 3.8+.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("before", "after")  # parent, change
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run in checkout; the result object is its last stdout line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"], "metrics": values}
+
+
+def directions(checkout: Path) -> dict:
+    """Metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+    bench = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in bench.get(key, [])}
+
+
+def quartiles(xs: list) -> dict:
+    if len(xs) < 2:
+        return {"median": xs[0], "q1": xs[0], "q3": xs[0]}
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def summarize(runs: dict, better: dict) -> dict:
+    """Per-metric quartiles of each side, the parent's IQR and pairs won."""
+    before, after = runs["before"], runs["after"]
+    names = [k for k in before[0]["metrics"] if all(k in r["metrics"] for r in before + after)]
+    out = {"repeats": len(before), "seeds": [r["seed"] for r in before], "metrics": {}}
+    for name in names:
+        b = [r["metrics"][name] for r in before]
+        a = [r["metrics"][name] for r in after]
+        entry = {"before": quartiles(b), "after": quartiles(a)}
+        entry["parent_iqr"] = entry["before"]["q3"] - entry["before"]["q1"]
+        if name in better:
+            sign = 1.0 if better[name] == "lower" else -1.0
+            entry["better"] = better[name]
+            entry["after_better_in_pairs"] = sum(sign * (y - x) < 0 for x, y in zip(b, a))
+            entry["after_worse_in_pairs"] = sum(sign * (y - x) > 0 for x, y in zip(b, a))
+        out["metrics"][name] = entry
+    for side in SIDES:
+        rs = runs[side]
+        out.setdefault("failed_of_attempted", {})[side] = [sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)]
+        if "quality_err" in names:
+            out.setdefault("quality_err_per_seed", {})[side] = {str(r["seed"]): r["metrics"]["quality_err"] for r in rs}
+    out["runs"] = runs
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--workload", required=True, choices=["train", "synth", "eval"])
+    ap.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
+    ap.add_argument("--out", type=Path, help="write the summary here as JSON")
+    args = ap.parse_args(argv)
+
+    checkouts = {"before": args.parent.resolve(), "after": args.change.resolve()}
+    runs = {side: [] for side in SIDES}
+    for i, seed in enumerate(args.seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for side in order:
+            r = run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
+            runs[side].append(r)
+            print(f"pair {i + 1}/{len(args.seeds)} seed {seed} {side}: "
+                  f"p50 {r['metrics'].get('latency_ms_p50', float('nan')):.3f} ms", file=sys.stderr, flush=True)
+
+    summary = {"workload": args.workload, "seconds": args.seconds, "trace": args.trace,
+               **summarize(runs, directions(checkouts["before"]))}
+    for name, m in summary["metrics"].items():
+        won = f"  better in {m['after_better_in_pairs']}/{summary['repeats']}" if "better" in m else ""
+        print(f"{name:40s} before {m['before']['median']:.6g} [{m['before']['q1']:.6g}, {m['before']['q3']:.6g}]"
+              f"  after {m['after']['median']:.6g} [{m['after']['q1']:.6g}, {m['after']['q3']:.6g}]"
+              f"  parent IQR {m['parent_iqr']:.3g}{won}")
+    print(f"failed/attempted: {summary['failed_of_attempted']}")
+    if args.out:
+        args.out.write_text(json.dumps(summary, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

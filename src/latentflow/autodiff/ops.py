@@ -76,8 +76,17 @@ def leaky_relu(x, slope: float = 0.1) -> Tensor:
         raise ValueError(f"leaky_relu: slope must be in [0, 1], got {slope}")
     xv = value(x)
     out = np.maximum(xv, slope * xv)
-    # g where x > 0, else slope * g, without np.where's slow select (exact at 0.1)
-    return _make("leaky_relu", out, (x, lambda g: g * (slope + (1.0 - slope) * (xv > 0))))
+
+    def vjp(g):
+        # g where x > 0, else slope * g, without np.where's slow select (exact
+        # at 0.1); every step after the mask is in place
+        d = (xv > 0).astype(float)
+        d *= 1.0 - slope
+        d += slope
+        d *= g
+        return d
+
+    return _make("leaky_relu", out, (x, vjp))
 
 
 def tanh(x) -> Tensor:
@@ -281,22 +290,32 @@ def _col2im(cols: np.ndarray, length: int, dilation: int, stride: int) -> np.nda
     return out
 
 
+def _windows(xp: np.ndarray, kernel: int, dilation: int, stride: int, t_out: int) -> np.ndarray:
+    """The windows of xp[B, C, T] as one C-contiguous [B, C*kernel, t_out]
+    array, row c*kernel + j holding tap j of channel c. _im2col's view is
+    copied once here, so every contraction on it reads contiguous memory; for
+    kernel 1 and stride 1 the view already is contiguous and nothing is copied."""
+    B, C = xp.shape[:2]
+    return np.ascontiguousarray(_im2col(xp, kernel, dilation, stride, t_out)).reshape(B, C * kernel, t_out)
+
+
 def _dense(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Windows [B, Cin, K, T] times weight [Cout, Cin, K] -> [B, Cout, T]:
-    one matmul of w as [Cout, Cin*K] against the windows as [B, Cin*K, T]
-    (a view when K == 1)."""
-    B, Ci, K, T = cols.shape
-    return w.reshape(w.shape[0], Ci * K) @ cols.reshape(B, Ci * K, T)
+    """Windows [B, Cin*K, T] times weight [Cout, Cin, K] -> [B, Cout, T]:
+    one matmul of w as [Cout, Cin*K]."""
+    return w.reshape(w.shape[0], -1) @ cols
 
 
 def _dense_t(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Adjoint of _dense in the windows: g[B, Cout, T] -> [B, Cin, K, T]."""
-    return np.tensordot(g, w, axes=([1], [0])).transpose(0, 2, 3, 1)
+    """Adjoint of _dense in the windows: g[B, Cout, T] -> C-contiguous
+    [B, Cin, K, T], one matmul of w as [Cin*K, Cout]."""
+    Co, Ci, K = w.shape
+    return (w.reshape(Co, Ci * K).T @ g).reshape(g.shape[0], Ci, K, g.shape[-1])
 
 
 def _dense_w(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Adjoint of _dense in the weight: g[B, Cout, T] -> [Cout, Cin, K]."""
-    return np.tensordot(g, cols, axes=([0, 2], [0, 3]))
+    """Adjoint of _dense in the weight: g[B, Cout, T] against the windows
+    [B, Cin*K, T] -> [Cout, Cin*K], one batched matmul summed over B."""
+    return (g @ cols.transpose(0, 2, 1)).sum(0)
 
 
 def _add_bias(op: str, out: np.ndarray, bias) -> np.ndarray:
@@ -341,10 +360,11 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
         xp[:, :, pad : pad + T] = xv
     else:
         xp = xv
-    cols = _im2col(xp, K, dilation, stride, t_out)
     if depthwise:
+        cols = _im2col(xp, K, dilation, stride, t_out)
         out = np.einsum("bcjt,cj->bct", cols, wv[:, 0, :])
     else:
+        cols = _windows(xp, K, dilation, stride, t_out)
         out = _dense(cols, wv)
     out = _add_bias("conv1d", out, bias)
 
@@ -354,7 +374,7 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
         return gxp[:, :, pad : pad + T] if pad else gxp
 
     def vjp_w(g):
-        return np.einsum("bcjt,bct->cj", cols, g)[:, None, :] if depthwise else _dense_w(g, cols)
+        return np.einsum("bcjt,bct->cj", cols, g)[:, None, :] if depthwise else _dense_w(g, cols).reshape(wv.shape)
 
     return _make("conv1d", out, (x, vjp_x), (w, vjp_w), (bias, lambda g: g.sum(axis=(0, 2))))
 
@@ -383,10 +403,10 @@ def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor:
     def gcols(g):
         gfull = np.zeros((B, Co, full))
         gfull[:, :, pad : pad + stride * T] = g
-        return _im2col(gfull, K, 1, stride, T)
+        return _windows(gfull, K, 1, stride, T)
 
     return _make("conv_transpose1d", out, (x, lambda g: _dense(gcols(g), wv)),
-                 (w, lambda g: _dense_w(xv, gcols(g))), (bias, lambda g: g.sum(axis=(0, 2))))
+                 (w, lambda g: _dense_w(xv, gcols(g)).reshape(wv.shape)), (bias, lambda g: g.sum(axis=(0, 2))))
 
 
 def frame_signal(x, frame: int, hop: int) -> Tensor:

@@ -225,6 +225,95 @@ def test_conv1d_matches_direct_sum(depthwise, kernel, dilation, stride, padding)
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
 
+def _conv1d_adjoint_case(depthwise, kernel, dilation, stride, padding):
+    """A conv1d of the direct-sum grid with B=2, and the index triples
+    (weight, input, output) of its defining sum."""
+    rng = np.random.default_rng([kernel, dilation, stride, 1])
+    cin, cout = (3, 3) if depthwise else (3, 4)
+    B, T = 2, 11
+    x = rng.standard_normal((B, cin, T))
+    w = rng.standard_normal((cout, 1 if depthwise else cin, kernel))
+    pad = (kernel - 1) * dilation // 2 if padding is None else padding
+    t_out = (T + 2 * pad - (kernel - 1) * dilation - 1) // stride + 1
+    taps = [
+        ((o, i, j), (b, o if depthwise else i, t * stride + j * dilation - pad), (b, o, t))
+        for b in range(B) for o in range(cout) for i in range(w.shape[1]) for j in range(kernel) for t in range(t_out)
+        if 0 <= t * stride + j * dilation - pad < T
+    ]
+
+    def conv(a, b):
+        return ad.conv1d(a, b, stride=stride, dilation=dilation, groups=cin if depthwise else 1, padding=padding)
+
+    return conv, x, w, rng.standard_normal((B, cout, t_out)), taps
+
+
+def _conv_transpose1d_adjoint_case(cin, cout, k, stride):
+    """A conv_transpose1d of the adjoint test's shapes, and the index triples
+    (weight, input, output) of its defining sum."""
+    rng = np.random.default_rng(cin * 100 + k + 1)
+    B, T = 2, 7
+    x = rng.standard_normal((B, cin, T))
+    w = rng.standard_normal((cin, cout, k))
+    pad = (k - stride) // 2
+    taps = [
+        ((i, c, j), (b, i, t), (b, c, t * stride + j - pad))
+        for b in range(B) for i in range(cin) for c in range(cout) for j in range(k) for t in range(T)
+        if 0 <= t * stride + j - pad < T * stride
+    ]
+
+    def conv(a, b):
+        return ad.conv_transpose1d(a, b, stride=stride)
+
+    return conv, x, w, rng.standard_normal((B, cout, T * stride)), taps
+
+
+CONV_ADJOINT_CASES = [
+    pytest.param(_conv1d_adjoint_case, (dw, k, d, s, p), id=f"conv1d-{'depthwise' if dw else 'dense'}-k{k}-d{d}-s{s}-p{p}")
+    for dw in (False, True) for k in (1, 3) for d in (1, 3) for s in (1, 2) for p in (None, 2)
+] + [
+    pytest.param(_conv_transpose1d_adjoint_case, shape, id="conv_transpose1d-{}-{}-{}-{}".format(*shape))
+    for shape in [(3, 2, 4, 2), (16, 8, 8, 4), (2, 5, 3, 1), (1, 1, 5, 3)]
+]
+
+
+@pytest.mark.parametrize("make_case,args", CONV_ADJOINT_CASES)
+def test_conv_vjps_match_direct_adjoint(make_case, args):
+    """grad of <conv(x, w), y> in x and in w equals the direct sums of y
+    against the other operand over the conv's defining index triples."""
+    conv, x, w, y, taps = make_case(*args)
+    xt, wt = ad.Tensor(x), ad.Tensor(w)
+    with ad.Tape() as tape:
+        loss = ad.total(ad.mul(conv(xt, wt), y))
+    gx, gw = ad.grad(loss, [xt, wt], tape)
+    ex, ew = np.zeros_like(x), np.zeros_like(w)
+    for wi, xi, yi in taps:
+        ex[xi] += w[wi] * y[yi]
+        ew[wi] += x[xi] * y[yi]
+    np.testing.assert_allclose(gx, ex, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gw, ew, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel,stride,padding", [(3, 1, None), (4, 2, 1), (1, 1, None)])
+def test_dense_conv1d_copies_its_windows_once(monkeypatch, kernel, stride, padding):
+    """The weight vjp contracts the very contiguous window buffer the forward
+    built, the window adjoint is contiguous, and a pointwise conv copies nothing."""
+    rng = np.random.default_rng(kernel)
+    x = ad.Tensor(rng.standard_normal((2, 3, 10)))
+    w = ad.Tensor(rng.standard_normal((4, 3, kernel)))
+    seen = {}
+    dense, dense_t, dense_w = ops._dense, ops._dense_t, ops._dense_w
+    monkeypatch.setattr(ops, "_dense", lambda cols, wv: seen.update(dense=cols) or dense(cols, wv))
+    monkeypatch.setattr(ops, "_dense_w", lambda g, cols: seen.update(dense_w=cols) or dense_w(g, cols))
+    monkeypatch.setattr(ops, "_dense_t", lambda g, wv: seen.setdefault("dense_t", dense_t(g, wv)))
+    with ad.Tape() as tape:
+        loss = ad.total(ad.square(ad.conv1d(x, w, stride=stride, padding=padding)))
+    ad.grad(loss, [x, w], tape)
+    assert seen["dense_w"] is seen["dense"]
+    assert seen["dense"].flags.c_contiguous
+    assert seen["dense_t"].flags.c_contiguous
+    assert np.shares_memory(seen["dense"], x.data) == (kernel == 1)
+
+
 @pytest.mark.parametrize("cin,cout,groups", [(4, 4, 2), (3, 6, 3)])
 def test_conv1d_rejects_groups_other_than_one_or_depthwise(cin, cout, groups):
     x = np.zeros((1, cin, 6))
