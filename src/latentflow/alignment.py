@@ -63,10 +63,6 @@ class NoteBoundaryConstraint:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
-    @classmethod
-    def single_note(cls, n_tokens: int, n_frames: int) -> "NoteBoundaryConstraint":
-        return cls(np.zeros(n_tokens, dtype=np.int64), np.zeros(n_frames, dtype=np.int64))
-
 
 @dataclass
 class AlignmentPath:
@@ -77,10 +73,6 @@ class AlignmentPath:
 
     def __post_init__(self):
         self.durations = np.asarray(self.durations, dtype=np.int64)
-
-    @property
-    def n_frames(self) -> int:
-        return int(self.durations.sum())
 
 
 def _check_instance(ll: np.ndarray, nb: NoteBoundaryConstraint):

@@ -70,19 +70,21 @@ def mul(a, b) -> Tensor:
     return _make("mul", av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
-def leaky_relu(x, slope: float = 0.1) -> Tensor:
-    """max(x, slope * x), which is leaky ReLU for slopes in [0, 1]."""
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"leaky_relu: slope must be in [0, 1], got {slope}")
+_LEAKY_SLOPE = 0.1
+
+
+def leaky_relu(x) -> Tensor:
+    """Leaky ReLU with slope 0.1: max(x, 0.1 * x)."""
     xv = value(x)
-    out = np.maximum(xv, slope * xv)
+    out = np.maximum(xv, _LEAKY_SLOPE * xv)
 
     def vjp(g):
-        # g where x > 0, else slope * g, without np.where's slow select (exact
-        # at 0.1); every step after the mask is in place
+        # g where x > 0, else 0.1 * g, without np.where's slow select; the
+        # mask times 0.9, plus 0.1, is exactly 1.0 or 0.1, so the product is
+        # bit-identical to the select. Every step after the mask is in place.
         d = (xv > 0).astype(float)
-        d *= 1.0 - slope
-        d += slope
+        d *= 1.0 - _LEAKY_SLOPE
+        d += _LEAKY_SLOPE
         d *= g
         return d
 
@@ -238,15 +240,6 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul: inner dims disagree, {av.shape} @ {bv.shape}")
     ga = (lambda g: g @ bv.T) if bv.ndim == 2 else (lambda g: np.outer(g, bv))
     return _make("matmul", av @ bv, (a, ga), (b, lambda g: av.T @ g))
-
-
-def add_channel_bias(x, b) -> Tensor:
-    """x[..., C, T] + b[C] broadcast over leading/trailing axes."""
-    xv, bv = value(x), value(b)
-    if bv.ndim != 1 or xv.ndim < 2 or xv.shape[-2] != bv.shape[0]:
-        raise ValueError(f"add_channel_bias: shapes {xv.shape} and {bv.shape} do not conform")
-    axes = tuple(i for i in range(xv.ndim) if i != xv.ndim - 2)
-    return _make("add_channel_bias", xv + bv[:, None], (x, lambda g: g), (b, lambda g: g.sum(axis=axes)))
 
 
 def add_frame_bias(x, b) -> Tensor:

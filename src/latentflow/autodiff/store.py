@@ -5,6 +5,9 @@ import numpy as np
 
 from .tensor import Tensor, Tape, grad
 
+# Adam's moment decay rates and denominator floor
+_BETA1, _BETA2, _EPS = 0.8, 0.99, 1e-8
+
 
 class ParamStore:
     """Uniquely named parameter tensors plus optimizer moment buffers.
@@ -35,9 +38,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def n_parameters(self) -> int:
-        return sum(t.size for t in self._params.values())
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self._params.items()}
 
@@ -63,19 +63,13 @@ def backward(loss: Tensor, store: ParamStore, tape: Tape) -> dict[str, np.ndarra
     return dict(zip(names, gs))
 
 
-def adam_step(
-    store: ParamStore,
-    grads: dict[str, np.ndarray],
-    lr: float = 2e-4,
-    beta1: float = 0.8,
-    beta2: float = 0.99,
-    eps: float = 1e-8,
-) -> None:
-    """Standard Adam update with bias correction over all params."""
+def adam_step(store: ParamStore, grads: dict[str, np.ndarray], lr: float = 2e-4) -> None:
+    """Standard Adam update with bias correction over all params, with
+    beta1 0.8, beta2 0.99 and eps 1e-8."""
     store.step_count += 1
     t = store.step_count
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - _BETA1**t
+    c2 = 1.0 - _BETA2**t
     for name in store.names():
         if name not in grads:
             raise ValueError(f"adam_step: missing gradient for parameter {name!r} (detached graph?)")
@@ -87,8 +81,8 @@ def adam_step(
         v = store._v.get(name)
         if v is None:
             v = store._v[name] = np.zeros_like(p.data)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)

@@ -10,6 +10,11 @@ import numpy as np
 from . import autodiff as ad
 from .exceptions import ValidationError
 
+# Kernel width of both encoders' residual convolutions
+_KERNEL = 5
+# Both encoders clamp their log-variances to this range
+_LOG_VAR_MIN, _LOG_VAR_MAX = -14.0, 6.0
+
 
 @dataclass
 class ScoreCondition:
@@ -40,22 +45,6 @@ class ScoreCondition:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def total_frames(self) -> int:
-        return int(self.note_duration.sum())
-
-    def to_dict(self) -> dict:
-        return {
-            "tokens": self.tokens.tolist(),
-            "note_pitch": self.note_pitch.tolist(),
-            "note_duration": self.note_duration.tolist(),
-            "note_id": self.note_id.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScoreCondition":
-        return cls(d["tokens"], d["note_pitch"], d["note_duration"], d["note_id"]).validate()
-
 
 class DiagonalGaussianSeq:
     """Per-frame mean and log-variance, [channels, frames]. Holds either
@@ -76,18 +65,16 @@ class DiagonalGaussianSeq:
         return DiagonalGaussianSeq(np.array(ad.value(self.mean)), np.array(ad.value(self.log_var)))
 
 
-def sample_reparam(g: DiagonalGaussianSeq, rng: np.random.Generator, temperature: float = 1.0):
-    """z = mean + temperature * exp(log_var / 2) * eps with eps ~ N(0, I).
+def sample_reparam(g: DiagonalGaussianSeq, rng: np.random.Generator):
+    """z = mean + exp(log_var / 2) * eps with eps ~ N(0, I).
 
     Differentiable in the Gaussian parameters when they are Tensors.
     """
-    if temperature < 0:
-        raise ValidationError(f"sample_reparam: temperature must be >= 0, got {temperature}")
     eps = rng.standard_normal(g.shape)
 
     def body():
         sigma = ad.exp(ad.mul(g.log_var, 0.5))
-        return ad.add(g.mean, ad.mul(sigma, temperature * eps))
+        return ad.add(g.mean, ad.mul(sigma, eps))
 
     return ad.evaluate(body, g.mean, g.log_var)
 
@@ -117,13 +104,9 @@ class LatentConfig:
     hidden: int = 32
     blocks: int = 4
     frame_blocks: int = 2
-    posterior_kernel: int = 5
-    prior_kernel: int = 5
     embed_dim: int = 16
     vocab_size: int = 64
     mel_bands: int = 16
-    log_var_min: float = -14.0
-    log_var_max: float = 6.0
 
     def validate(self) -> "LatentConfig":
         for name in ("channels", "hidden", "blocks", "embed_dim", "vocab_size", "mel_bands"):
@@ -133,14 +116,14 @@ class LatentConfig:
 
 
 class _ResidualConvStack:
-    """Shape-preserving residual stack: conv(k) -> leaky relu -> conv(1),
+    """Shape-preserving residual stack: conv(5) -> leaky relu -> conv(1),
     added back to the input."""
 
-    def __init__(self, store, prefix, channels, kernel, blocks, rng):
+    def __init__(self, store, prefix, channels, blocks, rng):
         self.blocks = []
         for i in range(blocks):
             w1 = store.create(
-                f"{prefix}res{i}.w1", rng.standard_normal((channels, channels, kernel)) / np.sqrt(channels * kernel)
+                f"{prefix}res{i}.w1", rng.standard_normal((channels, channels, _KERNEL)) / np.sqrt(channels * _KERNEL)
             )
             b1 = store.create(f"{prefix}res{i}.b1", np.zeros(channels))
             w2 = store.create(
@@ -151,7 +134,7 @@ class _ResidualConvStack:
 
     def __call__(self, x):
         for w1, b1, w2, b2 in self.blocks:
-            y = ad.leaky_relu(ad.conv1d(x, w1, b1), 0.1)
+            y = ad.leaky_relu(ad.conv1d(x, w1, b1))
             y = ad.conv1d(y, w2, b2)
             x = ad.add(x, y)
         return x
@@ -164,15 +147,14 @@ class PosteriorEncoder:
     reports the standard normal for any input.
     """
 
-    def __init__(self, cfg: LatentConfig, store: ad.ParamStore, rng: np.random.Generator, prefix: str = "post."):
+    def __init__(self, cfg: LatentConfig, store: ad.ParamStore, rng: np.random.Generator):
         self.cfg = cfg.validate()
-        self.store = store
         h = cfg.hidden
-        self.pre_w = store.create(prefix + "pre.w", rng.standard_normal((h, cfg.mel_bands, 1)) / np.sqrt(cfg.mel_bands))
-        self.pre_b = store.create(prefix + "pre.b", np.zeros(h))
-        self.stack = _ResidualConvStack(store, prefix, h, cfg.posterior_kernel, cfg.blocks, rng)
-        self.head_w = store.create(prefix + "head.w", np.zeros((2 * cfg.channels, h, 1)))
-        self.head_b = store.create(prefix + "head.b", np.zeros(2 * cfg.channels))
+        self.pre_w = store.create("post.pre.w", rng.standard_normal((h, cfg.mel_bands, 1)) / np.sqrt(cfg.mel_bands))
+        self.pre_b = store.create("post.pre.b", np.zeros(h))
+        self.stack = _ResidualConvStack(store, "post.", h, cfg.blocks, rng)
+        self.head_w = store.create("post.head.w", np.zeros((2 * cfg.channels, h, 1)))
+        self.head_b = store.create("post.head.b", np.zeros(2 * cfg.channels))
 
     def __call__(self, mel) -> DiagonalGaussianSeq:
         mv = ad.value(mel)
@@ -186,9 +168,7 @@ class PosteriorEncoder:
         out = ad.conv1d(h, self.head_w, self.head_b)
         out = ad.reshape(out, (2 * self.cfg.channels, mv.shape[1]))
         mean = ad.narrow(out, 0, 0, self.cfg.channels)
-        log_var = ad.clamp(
-            ad.narrow(out, 0, self.cfg.channels, self.cfg.channels), self.cfg.log_var_min, self.cfg.log_var_max
-        )
+        log_var = ad.clamp(ad.narrow(out, 0, self.cfg.channels, self.cfg.channels), _LOG_VAR_MIN, _LOG_VAR_MAX)
         return DiagonalGaussianSeq(mean, log_var)
 
 
@@ -244,23 +224,23 @@ class PriorEncoder:
     their predictions vary within a note.
     """
 
-    def __init__(self, cfg: LatentConfig, store: ad.ParamStore, rng: np.random.Generator, prefix: str = "prior."):
+    def __init__(self, cfg: LatentConfig, store: ad.ParamStore, rng: np.random.Generator):
         self.cfg = cfg.validate()
         h = cfg.hidden
-        self.embed = store.create(prefix + "embed", rng.standard_normal((cfg.vocab_size, cfg.embed_dim)) * 0.3)
+        self.embed = store.create("prior.embed", rng.standard_normal((cfg.vocab_size, cfg.embed_dim)) * 0.3)
         cin = cfg.embed_dim + 2  # embedding + normalized pitch + log duration
-        self.pre_w = store.create(prefix + "pre.w", rng.standard_normal((h, cin, 1)) / np.sqrt(cin))
-        self.pre_b = store.create(prefix + "pre.b", np.zeros(h))
-        self.token_stack = _ResidualConvStack(store, prefix + "tok.", h, cfg.prior_kernel, cfg.blocks, rng)
-        self.dur_w = store.create(prefix + "dur.w", np.zeros((1, h, 1)))
-        self.dur_b = store.create(prefix + "dur.b", np.zeros(1))
-        self.gauss_w = store.create(prefix + "gauss.w", np.zeros((2 * cfg.channels, h, 1)))
-        self.gauss_b = store.create(prefix + "gauss.b", np.zeros(2 * cfg.channels))
-        self.frame_stack = _ResidualConvStack(store, prefix + "frame.", h, cfg.prior_kernel, cfg.frame_blocks, rng)
-        self.f0_w = store.create(prefix + "f0.w", np.zeros((1, h, 1)))
-        self.f0_b = store.create(prefix + "f0.b", np.zeros(1))
-        self.mel_w = store.create(prefix + "mel.w", np.zeros((cfg.mel_bands, h, 1)))
-        self.mel_b = store.create(prefix + "mel.b", np.zeros(cfg.mel_bands))
+        self.pre_w = store.create("prior.pre.w", rng.standard_normal((h, cin, 1)) / np.sqrt(cin))
+        self.pre_b = store.create("prior.pre.b", np.zeros(h))
+        self.token_stack = _ResidualConvStack(store, "prior.tok.", h, cfg.blocks, rng)
+        self.dur_w = store.create("prior.dur.w", np.zeros((1, h, 1)))
+        self.dur_b = store.create("prior.dur.b", np.zeros(1))
+        self.gauss_w = store.create("prior.gauss.w", np.zeros((2 * cfg.channels, h, 1)))
+        self.gauss_b = store.create("prior.gauss.b", np.zeros(2 * cfg.channels))
+        self.frame_stack = _ResidualConvStack(store, "prior.frame.", h, cfg.frame_blocks, rng)
+        self.f0_w = store.create("prior.f0.w", np.zeros((1, h, 1)))
+        self.f0_b = store.create("prior.f0.b", np.zeros(1))
+        self.mel_w = store.create("prior.mel.w", np.zeros((cfg.mel_bands, h, 1)))
+        self.mel_b = store.create("prior.mel.b", np.zeros(cfg.mel_bands))
 
     def __call__(self, cond: ScoreCondition, durations: np.ndarray | None = None) -> PriorEncoderOutput:
         """``durations``: ground-truth frame counts per token (training);
@@ -283,7 +263,7 @@ class PriorEncoder:
         log_dur = ad.reshape(ad.conv1d(h, self.dur_w, self.dur_b), (n,))
         gauss = ad.reshape(ad.conv1d(h, self.gauss_w, self.gauss_b), (2 * cfg.channels, n))
         tok_mean = ad.narrow(gauss, 0, 0, cfg.channels)
-        tok_log_var = ad.clamp(ad.narrow(gauss, 0, cfg.channels, cfg.channels), cfg.log_var_min, cfg.log_var_max)
+        tok_log_var = ad.clamp(ad.narrow(gauss, 0, cfg.channels, cfg.channels), _LOG_VAR_MIN, _LOG_VAR_MAX)
         token_gaussian = DiagonalGaussianSeq(tok_mean, tok_log_var)
 
         if durations is None:

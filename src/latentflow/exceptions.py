@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps ValidationError to exit code 1 and NumericalError to exit
-code 2; everything else is a bug.
+The package has no command-line interface yet. The one planned is to map
+ValidationError to exit code 1 and NumericalError to exit code 2, and to
+treat everything else as a bug.
 """
 
 

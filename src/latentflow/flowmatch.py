@@ -62,9 +62,6 @@ def cfm_loss(field: VelocityField, z_p, z_q, t, cond=None, train: bool = True, r
 @dataclass
 class OptimizerConfig:
     lr: float = 2e-4
-    beta1: float = 0.8
-    beta2: float = 0.99
-    eps: float = 1e-8
     lr_final: float | None = None  # if set, cosine-decay lr -> lr_final
 
     def lr_at(self, step: int, total: int) -> float:
@@ -100,7 +97,7 @@ def train_cfm(
         if not np.isfinite(value):
             raise NumericalError(f"train_cfm: non-finite loss at step {step}")
         grads = ad.backward(loss, store, tape)
-        ad.adam_step(store, grads, lr=opt.lr_at(step, steps), beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
+        ad.adam_step(store, grads, lr=opt.lr_at(step, steps))
         losses.append(value)
     return losses
 

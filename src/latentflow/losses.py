@@ -17,18 +17,6 @@ from .signals import MelConfig, mel_transform_t
 
 
 @dataclass
-class LossWeights:
-    lambda_fm: float = 2.0
-    lambda_mel: float = 45.0
-    lambda_cfm: float = 1.0
-
-    def validate(self) -> "LossWeights":
-        if min(self.lambda_fm, self.lambda_mel, self.lambda_cfm) < 0:
-            raise ValidationError("loss weights must be >= 0")
-        return self
-
-
-@dataclass
 class LossReport:
     """Itemized per-step loss values; total must reproduce the weighted sum."""
 
@@ -119,36 +107,26 @@ def aux_prediction(true_log_f0, true_mel, pred_log_f0, pred_mel) -> ad.Tensor:
     return ad.add(_mean_sq(ad.sub(pred_log_f0, tf0)), ad.mean(ad.absolute(ad.sub(pred_mel, tmel))))
 
 
-_COMPOSITE_PARTS = ("adv", "fm", "mel", "kl", "dsp", "dur", "aux", "cfm")
+# The generator's parts and their weights, in the order the composite sums
+# them. The dsp part carries its weight of 45 inside dsp_consistency.
+_COMPOSITE_WEIGHTS = {"adv": 1.0, "fm": 2.0, "mel": 45.0, "kl": 1.0, "dsp": 1.0, "dur": 1.0, "aux": 1.0, "cfm": 1.0}
 
 
-def generator_composite(parts: dict, weights: LossWeights | None = None) -> tuple[ad.Tensor, LossReport]:
+def generator_composite(parts: dict) -> tuple[ad.Tensor, LossReport]:
     """Weighted sum of all generator terms.
 
-    total = adv + lambda_fm * fm + lambda_mel * mel + kl + dsp + dur + aux
-            + lambda_cfm * cfm
+    total = adv + 2 fm + 45 mel + kl + dsp + dur + aux + cfm
     where the dsp part already carries its own weight. Returns the total
     Tensor and an itemized LossReport whose total is the Tensor's value.
     """
-    weights = (weights or LossWeights()).validate()
-    missing = [name for name in _COMPOSITE_PARTS if name not in parts]
+    missing = [name for name in _COMPOSITE_WEIGHTS if name not in parts]
     if missing:
         raise ValidationError(f"generator_composite: missing loss part(s): {', '.join(missing)}")
-    lam = {
-        "adv": 1.0,
-        "fm": weights.lambda_fm,
-        "mel": weights.lambda_mel,
-        "kl": 1.0,
-        "dsp": 1.0,
-        "dur": 1.0,
-        "aux": 1.0,
-        "cfm": weights.lambda_cfm,
-    }
     report = LossReport()
     total = None
-    for name in _COMPOSITE_PARTS:
+    for name, weight in _COMPOSITE_WEIGHTS.items():
         report.terms[name] = float(ad.value(parts[name]))
-        scaled = ad.mul(parts[name], lam[name])
+        scaled = ad.mul(parts[name], weight)
         total = scaled if total is None else ad.add(total, scaled)
     report.total = total.item()
     return total, report

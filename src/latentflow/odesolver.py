@@ -27,6 +27,8 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 # step-size control: the factor _SAFETY * err^(-1/5), clamped to [_MIN_FACTOR, _MAX_FACTOR]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
+# a solve gives up after this many consecutive rejected steps
+_MAX_REJECTED = 20
 
 
 @dataclass
@@ -46,7 +48,6 @@ class SolverConfig:
     abs_tol: float = 3e-4
     rel_tol: float = 3e-4
     max_step: float = 0.5
-    max_rejected: int = 20
 
     def validate(self) -> "SolverConfig":
         if not 0.0 < self.max_step <= 1.0:
@@ -92,26 +93,26 @@ def dopri5_step(rhs, z: np.ndarray, t: float, h: float, k1: np.ndarray | None = 
     return z5, h * err, ks
 
 
-def solve(rhs, z0: np.ndarray, t0: float = 0.0, t1: float = 1.0, cfg: SolverConfig | None = None):
-    """Integrate dz/dt = rhs(z, t) from t0 to t1 adaptively.
+def solve(rhs, z0: np.ndarray, cfg: SolverConfig | None = None):
+    """Integrate dz/dt = rhs(z, t) adaptively from t = 0 to t = 1, the
+    span of the flow.
 
     Error norm: rms of e_i / (abs_tol + rel_tol * max(|z_i|, |z'_i|));
     a step is accepted when the norm is <= 1. The proposed factor
     0.9 * err^(-1/5) is clamped to [0.2, 5.0] and the step to max_step.
-    The final step is truncated to land exactly on t1.
+    The final step is truncated to land exactly on t = 1. More than 20
+    consecutive rejected steps raise NumericalError.
     """
     cfg = (cfg or SolverConfig()).validate()
-    if t1 <= t0:
-        raise ValidationError(f"solve: need t1 > t0, got [{t0}, {t1}]")
     z = np.asarray(z0, dtype=np.float64)
     stats = SolveStats()
-    t = t0
-    h = min(cfg.max_step, t1 - t0)
+    t = 0.0
+    h = cfg.max_step  # validated to lie in (0, 1]
     k1: np.ndarray | None = None
     rejected_run = 0
-    while t < t1:
-        if t1 - (t + h) < 1e-12:
-            h = t1 - t
+    while t < 1.0:
+        if 1.0 - (t + h) < 1e-12:
+            h = 1.0 - t
         if k1 is None:
             k1 = rhs(z, t)
             stats.rhs_evals += 1
@@ -120,7 +121,7 @@ def solve(rhs, z0: np.ndarray, t0: float = 0.0, t1: float = 1.0, cfg: SolverConf
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z), np.abs(z_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         if err <= 1.0:
-            t = t1 if t1 - (t + h) < 1e-12 else t + h
+            t = 1.0 if 1.0 - (t + h) < 1e-12 else t + h
             z = z_new
             if not np.all(np.isfinite(z)):
                 raise NumericalError(f"solve: NaN in state after accepted step; last accepted t={t:.6g}")
@@ -131,7 +132,7 @@ def solve(rhs, z0: np.ndarray, t0: float = 0.0, t1: float = 1.0, cfg: SolverConf
         else:
             stats.rejected += 1
             rejected_run += 1
-            if rejected_run > cfg.max_rejected:
+            if rejected_run > _MAX_REJECTED:
                 raise NumericalError(
                     f"solve: {rejected_run} consecutive rejected steps at t={t:.6g} (h={h:.3g}, err={err:.3g})"
                 )

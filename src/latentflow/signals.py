@@ -18,6 +18,8 @@ from . import autodiff as ad
 from .exceptions import ValidationError
 
 MCD_SCALE = 10.0 * np.sqrt(2.0) / np.log(10.0)  # dB per unit cepstral distance
+_MCD_COEFFS = 13  # cepstral coefficients 1..13 enter the MCD
+_LOG_FLOOR = 1e-5  # mel magnitudes are floored here before the log
 
 
 @dataclass(frozen=True)
@@ -27,9 +29,7 @@ class MelConfig:
     window_size: int = 1024
     hop_size: int = 256
     mel_bands: int = 80
-    fmin: float = 0.0
     fmax: float = 11025.0
-    log_floor: float = 1e-5
 
     def validate(self) -> "MelConfig":
         if self.fmax > self.sample_rate / 2:
@@ -55,24 +55,15 @@ def desk_pipeline_mel() -> MelConfig:
     a waveform of T*hop samples analyzes to exactly T frames, matching
     the decoder's T -> T*hop upsampling.
     """
-    return MelConfig(sample_rate=4000, fft_size=64, window_size=16, hop_size=16,
-                     mel_bands=16, fmin=0.0, fmax=2000.0)
+    return MelConfig(sample_rate=4000, fft_size=64, window_size=16, hop_size=16, mel_bands=16, fmax=2000.0)
 
 
 @dataclass
 class MelSpectrogram:
     """Natural-log magnitude-mel values, [bands, frames], floored at
-    log(config floor)."""
+    log(1e-5)."""
 
     values: np.ndarray
-
-    @property
-    def bands(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[1]
 
 
 def _hz_to_mel(f):
@@ -94,10 +85,11 @@ def _mel_to_hz(m):
 @functools.lru_cache
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     """Triangular area-normalized (Slaney-style) filterbank
-    [mel_bands, fft_size//2 + 1], built once per config and shared read-only."""
+    [mel_bands, fft_size//2 + 1] from 0 Hz to fmax, built once per config
+    and shared read-only."""
     n_bins = cfg.fft_size // 2 + 1
     fft_freqs = np.arange(n_bins) * cfg.sample_rate / cfg.fft_size
-    edges = _mel_to_hz(np.linspace(_hz_to_mel(cfg.fmin), _hz_to_mel(cfg.fmax), cfg.mel_bands + 2))
+    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(cfg.fmax), cfg.mel_bands + 2))
     fb = np.zeros((cfg.mel_bands, n_bins))
     for m in range(cfg.mel_bands):
         lo, center, hi = edges[m], edges[m + 1], edges[m + 2]
@@ -135,14 +127,14 @@ def stft_magnitude(y, cfg: MelConfig):
 
 def mel_transform_t(y, cfg: MelConfig):
     """Hann STFT magnitude -> area-normalized mel filterbank -> natural log
-    with floor: log-mel values [bands, frames].
+    with a floor of 1e-5: log-mel values [bands, frames].
 
     A Tensor waveform gives a Tensor; a plain one gives an ndarray.
     """
 
     def body():
         mel = ad.matmul(mel_filterbank(cfg), stft_magnitude(y, cfg))
-        return ad.log(ad.clamp(mel, lo=cfg.log_floor))
+        return ad.log(ad.clamp(mel, lo=_LOG_FLOOR))
 
     return ad.evaluate(body, y)
 
@@ -166,9 +158,9 @@ def dsp_synthesize(
     noise_env,
     cfg: MelConfig,
     rng: np.random.Generator | None = None,
-    n_samples: int | None = None,
 ) -> np.ndarray:
-    """Harmonic-plus-noise rendering of a per-frame f0 contour.
+    """Harmonic-plus-noise rendering of a per-frame f0 contour, hop_size
+    samples per frame.
 
     Harmonic k gets amplitude harmonic_amps[k-1]; phase accumulates from a
     sample-interpolated f0. Enveloped white noise is added and the result
@@ -183,7 +175,7 @@ def dsp_synthesize(
         raise ValidationError(
             f"dsp_synthesize: harmonic {n_harm} of max f0 {f0_frames.max():.1f} Hz aliases above fmax {cfg.fmax}"
         )
-    L = int(n_samples) if n_samples is not None else len(f0_frames) * cfg.hop_size
+    L = len(f0_frames) * cfg.hop_size
     anchors = np.arange(len(f0_frames)) * cfg.hop_size
     f0_samples = np.interp(np.arange(L), anchors, f0_frames)
     phase_cycles = np.cumsum(f0_samples) / cfg.sample_rate
@@ -224,10 +216,6 @@ class SingingSpec:
         if not self.notes or any(d < 1 for _, d, _ in self.notes):
             raise ValidationError("singing spec: need notes with durations >= 1 frame")
         return self
-
-    @property
-    def total_frames(self) -> int:
-        return sum(d for _, d, _ in self.notes)
 
 
 def singing_f0_contour(spec: SingingSpec, cfg: MelConfig) -> np.ndarray:
@@ -329,23 +317,24 @@ def f0_extract(y: np.ndarray, cfg: MelConfig, xcfg: F0ExtractConfig | None = Non
 # metrics
 
 
-def mel_cepstra(mel: MelSpectrogram, n_coeffs: int) -> np.ndarray:
-    """Coefficients 1..n of the orthonormal type-II DCT of log-mel per
+def mel_cepstra(mel: MelSpectrogram) -> np.ndarray:
+    """Coefficients 1..13 of the orthonormal type-II DCT of log-mel per
     frame (coefficient 0 carries overall level and is excluded)."""
     c = dct(mel.values, type=2, norm="ortho", axis=0)
-    if n_coeffs >= c.shape[0]:
-        raise ValidationError(f"mcd: {n_coeffs} coefficients requested from {c.shape[0]} bands")
-    return c[1 : n_coeffs + 1]
+    if _MCD_COEFFS >= c.shape[0]:
+        raise ValidationError(f"mcd: {_MCD_COEFFS} coefficients requested from {c.shape[0]} bands")
+    return c[1 : _MCD_COEFFS + 1]
 
 
-def mcd(x_ref: MelSpectrogram, x_syn: MelSpectrogram, n_coeffs: int = 13) -> float:
-    """Mel-cepstral distortion in dB over frame-aligned inputs."""
+def mcd(x_ref: MelSpectrogram, x_syn: MelSpectrogram) -> float:
+    """Mel-cepstral distortion in dB over frame-aligned inputs, from
+    cepstral coefficients 1..13."""
     if x_ref.values.shape != x_syn.values.shape:
         raise ValidationError(
             f"mcd: frame-aligned inputs required, got {x_ref.values.shape} vs {x_syn.values.shape}"
         )
-    c_ref = mel_cepstra(x_ref, n_coeffs)
-    c_syn = mel_cepstra(x_syn, n_coeffs)
+    c_ref = mel_cepstra(x_ref)
+    c_syn = mel_cepstra(x_syn)
     dist = np.sqrt(np.sum((c_ref - c_syn) ** 2, axis=0))
     return float(MCD_SCALE * dist.mean())
 

@@ -13,6 +13,10 @@ from .exceptions import ValidationError
 # angular frequencies span [1, 1000] geometrically
 _OMEGA_LO = 1.0
 _OMEGA_HI = 1000.0
+# Each block's depthwise convolution: kernel width 3 at its own dilation, so
+# a block reaches one dilation to each side and the stack 24 frames.
+_KERNEL = 3
+_DILATIONS = (3, 5, 7, 9)
 
 
 @functools.cache
@@ -42,8 +46,6 @@ def time_embedding_batch(ts: np.ndarray, dim: int) -> np.ndarray:
 class VectorFieldConfig:
     latent_channels: int = 8
     hidden: int = 32
-    kernel_size: int = 3
-    dilations: tuple = (3, 5, 7, 9)
     dropout_p: float = 0.1
     time_embed_dim: int = 16
     cond_channels: int = 4  # 0 = endpoint-only conditioning
@@ -53,9 +55,6 @@ class VectorFieldConfig:
             raise ValidationError(f"vector field: dropout must be in [0, 1), got {self.dropout_p}")
         return self
 
-    def receptive_radius(self) -> int:
-        return sum((self.kernel_size - 1) // 2 * d for d in self.dilations)
-
 
 class VelocityField:
     """v(z_t, t[, cond]) with shape-preserving convolutions.
@@ -64,34 +63,33 @@ class VelocityField:
     as the identity.
     """
 
-    def __init__(self, cfg: VectorFieldConfig, store: ad.ParamStore, rng: np.random.Generator, prefix: str = "vf."):
+    def __init__(self, cfg: VectorFieldConfig, store: ad.ParamStore, rng: np.random.Generator):
         self.cfg = cfg.validate()
         self.store = store
-        self.prefix = prefix
-        c, h, k = cfg.latent_channels, cfg.hidden, cfg.kernel_size
+        c, h = cfg.latent_channels, cfg.hidden
         cin = c + cfg.cond_channels
 
         def mk(name, shape, scale=None):
             if scale is None:
                 fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
                 scale = 1.0 / np.sqrt(max(fan_in, 1))
-            return store.create(prefix + name, rng.standard_normal(shape) * scale)
+            return store.create("vf." + name, rng.standard_normal(shape) * scale)
 
         self.pre_w = mk("pre.w", (h, cin, 1))
-        self.pre_b = store.create(prefix + "pre.b", np.zeros(h))
+        self.pre_b = store.create("vf.pre.b", np.zeros(h))
         self.blocks = []
-        for i, d in enumerate(cfg.dilations):
+        for i, d in enumerate(_DILATIONS):
             blk = {
                 "time_w": mk(f"block{i}.time.w", (cfg.time_embed_dim, h)),
-                "dw_w": mk(f"block{i}.dw.w", (h, 1, k)),
-                "dw_b": store.create(prefix + f"block{i}.dw.b", np.zeros(h)),
+                "dw_w": mk(f"block{i}.dw.w", (h, 1, _KERNEL)),
+                "dw_b": store.create(f"vf.block{i}.dw.b", np.zeros(h)),
                 "pw_w": mk(f"block{i}.pw.w", (h, h, 1)),
-                "pw_b": store.create(prefix + f"block{i}.pw.b", np.zeros(h)),
+                "pw_b": store.create(f"vf.block{i}.pw.b", np.zeros(h)),
                 "dilation": d,
             }
             self.blocks.append(blk)
-        self.out_w = store.create(prefix + "out.w", np.zeros((c, h, 1)))
-        self.out_b = store.create(prefix + "out.b", np.zeros(c))
+        self.out_w = store.create("vf.out.w", np.zeros((c, h, 1)))
+        self.out_b = store.create("vf.out.b", np.zeros(c))
 
     def __call__(self, z, t, cond=None, train: bool = False, rng: np.random.Generator | None = None):
         """Velocity with the same shape as ``z``.
@@ -131,7 +129,7 @@ class VelocityField:
             xi = ad.add_frame_bias(h, tb)
             y = ad.conv1d(xi, blk["dw_w"], blk["dw_b"], dilation=blk["dilation"], groups=cfg.hidden)
             y = ad.conv1d(y, blk["pw_w"], blk["pw_b"])
-            y = ad.leaky_relu(y, 0.1)
+            y = ad.leaky_relu(y)
             y = ad.dropout(y, cfg.dropout_p, rng=rng, training=train)
             h = ad.add(xi, y)
         v = ad.conv1d(h, self.out_w, self.out_b)

@@ -1,6 +1,6 @@
 """Waveform decoder (transposed-conv upsampling with residual refinement)
 and the period / scale / spectrogram discriminator suite, plus 16-bit PCM
-WAV I/O."""
+WAV output."""
 from __future__ import annotations
 
 import wave
@@ -13,18 +13,6 @@ from .exceptions import ValidationError
 from .signals import MelConfig, stft_magnitude
 
 
-@dataclass
-class Waveform:
-    samples: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
 def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
     """Mono 16-bit PCM RIFF output; samples are clipped to [-1, 1]."""
     pcm = np.round(np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0) * 32767.0).astype("<i2")
@@ -33,16 +21,6 @@ def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
         f.setsampwidth(2)
         f.setframerate(int(sample_rate))
         f.writeframes(pcm.tobytes())
-
-
-def read_wav(path) -> Waveform:
-    with wave.open(str(path), "rb") as f:
-        if f.getnchannels() != 1 or f.getsampwidth() != 2:
-            raise ValidationError(f"{path}: expected mono 16-bit PCM")
-        sr = f.getframerate()
-        raw = f.readframes(f.getnframes())
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
-    return Waveform(samples, sr)
 
 
 @dataclass
@@ -78,33 +56,33 @@ class WaveDecoder:
     """Latent [C, T] plus a per-frame pitch channel -> waveform of exactly
     T * prod(upsample_rates) samples, bounded by a final tanh."""
 
-    def __init__(self, cfg: DecoderConfig, store: ad.ParamStore, rng: np.random.Generator, prefix: str = "dec."):
+    def __init__(self, cfg: DecoderConfig, store: ad.ParamStore, rng: np.random.Generator):
         self.cfg = cfg.validate()
         h = cfg.hidden
         cin = cfg.latent_channels + 1
-        self.pre_w = store.create(prefix + "pre.w", rng.standard_normal((h, cin, 3)) / np.sqrt(3 * cin))
-        self.pre_b = store.create(prefix + "pre.b", np.zeros(h))
+        self.pre_w = store.create("dec.pre.w", rng.standard_normal((h, cin, 3)) / np.sqrt(3 * cin))
+        self.pre_b = store.create("dec.pre.b", np.zeros(h))
         self.stages = []
         ch = h
         for i, (rate, kernel) in enumerate(zip(cfg.upsample_rates, cfg.upsample_kernels)):
             out_ch = max(2, ch // 2)
             up_w = store.create(
-                prefix + f"up{i}.w", rng.standard_normal((ch, out_ch, kernel)) / np.sqrt(kernel * ch)
+                f"dec.up{i}.w", rng.standard_normal((ch, out_ch, kernel)) / np.sqrt(kernel * ch)
             )
-            up_b = store.create(prefix + f"up{i}.b", np.zeros(out_ch))
+            up_b = store.create(f"dec.up{i}.b", np.zeros(out_ch))
             res = []
             for j, d in enumerate(cfg.resblock_dilations):
                 rw = store.create(
-                    prefix + f"up{i}.res{j}.w",
+                    f"dec.up{i}.res{j}.w",
                     rng.standard_normal((out_ch, out_ch, cfg.resblock_kernel))
                     / np.sqrt(cfg.resblock_kernel * out_ch),
                 )
-                rb = store.create(prefix + f"up{i}.res{j}.b", np.zeros(out_ch))
+                rb = store.create(f"dec.up{i}.res{j}.b", np.zeros(out_ch))
                 res.append((rw, rb, d))
             self.stages.append((up_w, up_b, rate, res))
             ch = out_ch
-        self.post_w = store.create(prefix + "post.w", rng.standard_normal((1, ch, 3)) / np.sqrt(3 * ch))
-        self.post_b = store.create(prefix + "post.b", np.zeros(1))
+        self.post_w = store.create("dec.post.w", rng.standard_normal((1, ch, 3)) / np.sqrt(3 * ch))
+        self.post_b = store.create("dec.post.b", np.zeros(1))
 
     def __call__(self, z, f0_hz: np.ndarray):
         zv = ad.value(z)
@@ -119,13 +97,13 @@ class WaveDecoder:
         x = ad.reshape(x, (1, self.cfg.latent_channels + 1, t_frames))
         x = ad.conv1d(x, self.pre_w, self.pre_b)
         for up_w, up_b, rate, res in self.stages:
-            x = ad.leaky_relu(x, 0.1)
+            x = ad.leaky_relu(x)
             x = ad.conv_transpose1d(x, up_w, up_b, stride=rate)
             for rw, rb, d in res:
-                y = ad.leaky_relu(x, 0.1)
+                y = ad.leaky_relu(x)
                 y = ad.conv1d(y, rw, rb, dilation=d)
                 x = ad.add(x, y)
-        x = ad.leaky_relu(x, 0.1)
+        x = ad.leaky_relu(x)
         x = ad.conv1d(x, self.post_w, self.post_b)
         wave_out = ad.tanh(ad.reshape(x, (t_frames * self.cfg.hop,)))
         return wave_out
@@ -171,7 +149,7 @@ class _ConvStack:
         features = []
         for w, b, s, d in self.layers:
             pad = (w.shape[2] - 1) * d // 2
-            x = ad.leaky_relu(ad.conv1d(x, w, b, stride=s, dilation=d, padding=pad), 0.1)
+            x = ad.leaky_relu(ad.conv1d(x, w, b, stride=s, dilation=d, padding=pad))
             features.append(x)
         score = ad.conv1d(x, self.score_w, self.score_b)
         return score, features
@@ -181,22 +159,21 @@ class DiscriminatorSuite:
     """Period, scale, and spectrogram discriminators; every sub returns a
     score map and its ordered intermediate feature maps."""
 
-    def __init__(self, cfg: DiscriminatorConfig, mel_cfg: MelConfig, store: ad.ParamStore,
-                 rng: np.random.Generator, prefix: str = "disc."):
+    def __init__(self, cfg: DiscriminatorConfig, mel_cfg: MelConfig, store: ad.ParamStore, rng: np.random.Generator):
         self.cfg = cfg.validate()
         self.mel_cfg = mel_cfg
         ch = cfg.channels
         conv_specs = [(5, 3, 1), (5, 3, 1)]
         self.period_stacks = [
-            _ConvStack(store, f"{prefix}period{p}.", 1, ch, conv_specs, rng) for p in cfg.periods
+            _ConvStack(store, f"disc.period{p}.", 1, ch, conv_specs, rng) for p in cfg.periods
         ]
         scale_specs = [(15, 2, 1), (15, 2, 1)]
         self.scale_stacks = [
-            _ConvStack(store, f"{prefix}scale{s}.", 1, ch, scale_specs, rng) for s in cfg.scales
+            _ConvStack(store, f"disc.scale{s}.", 1, ch, scale_specs, rng) for s in cfg.scales
         ]
         spec_specs = [(3, 1, 1), (3, 1, 2)]
         self.spec_stacks = [
-            _ConvStack(store, f"{prefix}spec{n}.", n // 2 + 1, ch, spec_specs, rng)
+            _ConvStack(store, f"disc.spec{n}.", n // 2 + 1, ch, spec_specs, rng)
             for n in cfg.stft_sizes
         ]
 
@@ -231,7 +208,7 @@ class DiscriminatorSuite:
         for n, hop, stack in zip(self.cfg.stft_sizes, self.cfg.stft_hops, self.spec_stacks):
             scfg = MelConfig(
                 sample_rate=self.mel_cfg.sample_rate, fft_size=n, window_size=n, hop_size=hop,
-                mel_bands=1, fmin=0.0, fmax=self.mel_cfg.sample_rate / 2,
+                mel_bands=1, fmax=self.mel_cfg.sample_rate / 2,
             )
             mag = stft_magnitude(y, scfg)
             x = ad.reshape(mag, (1,) + mag.shape)

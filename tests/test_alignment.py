@@ -20,7 +20,7 @@ from latentflow.exceptions import ValidationError
 
 
 def single(n, t):
-    return NoteBoundaryConstraint.single_note(n, t)
+    return NoteBoundaryConstraint(np.zeros(n, int), np.zeros(t, int))
 
 
 def test_single_token_covers_whole_range():
@@ -202,7 +202,6 @@ def test_brute_force_guard():
 def test_durations_from_path():
     p = AlignmentPath(np.array([1, 2]))
     np.testing.assert_array_equal(durations_from_path(p), [1, 2])
-    assert AlignmentPath(np.array([5])).n_frames == 5
     rng = np.random.default_rng(5)
     for _ in range(20):
         d = rng.integers(1, 5, size=4)

@@ -38,9 +38,7 @@ def test_score_condition_validation():
         ScoreCondition([1, 2], [60, 61], [2, 0], [0, 0]).validate()
     with pytest.raises(ValidationError):
         ScoreCondition([1, 2], [60, 61], [2, 2], [1, 0]).validate()
-    sc = ScoreCondition([1, 2], [60, 61], [2, 3], [0, 1]).validate()
-    assert sc.total_frames == 5
-    assert ScoreCondition.from_dict(sc.to_dict()).total_frames == 5
+    ScoreCondition([1, 2], [60, 61], [2, 3], [0, 1]).validate()
 
 
 def test_posterior_zero_init_head_reports_standard_normal():
@@ -155,15 +153,9 @@ def test_expand_to_frames():
         expand_to_frames(x, np.array([0, 5]))
 
 
-def test_sample_reparam_temperature_zero_returns_mean():
-    g = DiagonalGaussianSeq(np.arange(6.0).reshape(2, 3), np.zeros((2, 3)))
-    z = sample_reparam(g, np.random.default_rng(0), temperature=0.0)
-    np.testing.assert_array_equal(z, g.mean)
-
-
 def test_sample_reparam_monte_carlo_moments():
     g = DiagonalGaussianSeq(np.zeros((1, 100_000)), np.zeros((1, 100_000)))
-    z = sample_reparam(g, np.random.default_rng(1), temperature=1.0)
+    z = sample_reparam(g, np.random.default_rng(1))
     assert abs(z.mean()) < 0.02
     assert abs(z.var() - 1.0) < 0.05
 
@@ -173,8 +165,6 @@ def test_sample_reparam_seed_determinism():
     a = sample_reparam(g, np.random.default_rng(7))
     b = sample_reparam(g, np.random.default_rng(7))
     np.testing.assert_array_equal(a, b)
-    with pytest.raises(ValidationError):
-        sample_reparam(g, np.random.default_rng(0), temperature=-0.1)
 
 
 def test_sample_reparam_gradients():

@@ -1,10 +1,15 @@
 """Repository hygiene, checked with the standard library only: every
 module-level import in the package is used, every dataclass field is read,
-every differentiable op has a finite-difference test, and every console
-script declared in pyproject.toml resolves to a callable."""
+every public name has a caller outside the tests, every differentiable op
+has a finite-difference test, the imports match the declared dependencies,
+and every console script declared in pyproject.toml resolves to a
+callable."""
 import ast
 import importlib
+import re
+import sys
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +69,57 @@ def test_every_dataclass_field_is_read():
     assert [f"{cls}.{name}" for cls, name in fields if name not in loads] == []
 
 
+def _loads(tree: ast.AST) -> Counter:
+    """How often each name is loaded in ``tree``, as ``name`` or ``x.name``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def _public_definitions() -> list[tuple[str, ast.AST]]:
+    """(qualified name, definition) of every public module-level function
+    and class in the package, and of every public method and property of
+    those classes."""
+    defs = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defs.append((node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return defs
+
+
+# Public names that only the tests call, each with the reason it stays.
+_CALLED_ONLY_BY_TESTS = {
+    "brute_force_align": "oracle: exhaustive search the alignment DP is checked against",
+    "gaussian_oracle_velocity": "oracle: closed-form minimizer of the flow-matching loss",
+    "GaussianTransportSpec.loss_floor": "oracle: the irreducible flow-matching loss",
+    "finite_diff_check": "oracle: the independent check of every backward rule",
+    "set_debug_checks": "the debug switch, turned on by hand or by a test",
+    "write_wav": "waits for a synth command that writes its output",
+    "ParamStore.load_state_dict": "waits for checkpointing in a train command",
+}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Each public module-level function and class of the package, and each
+    public method and property of those classes, is loaded by name somewhere
+    in src/, perfbench/ or scripts/, outside its own definition. The
+    ``__init__`` re-exports do not count, since an import is not a load.
+
+    The check is by name only: a load of ``x.names`` counts for every
+    method called ``names``, whatever ``x`` is, so it finds names nothing
+    loads, not every method without a caller."""
+    trees = [ast.parse(p.read_text(), filename=str(p))
+             for d in ("src", "perfbench", "scripts") for p in sorted((ROOT / d).rglob("*.py"))]
+    loads = sum((_loads(t) for t in trees), Counter())
+    uncalled = {qual for qual, node in _public_definitions()
+                if loads[node.name] - _loads(node)[node.name] <= 0}
+    assert sorted(uncalled - _CALLED_ONLY_BY_TESTS.keys()) == []
+    assert sorted(_CALLED_ONLY_BY_TESTS.keys() - uncalled) == []
+
+
 def _called(tree: ast.AST) -> set[str]:
     """Names of the functions called anywhere in ``tree``, as ``f`` or ``m.f``."""
     return {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
@@ -104,3 +160,34 @@ def test_console_scripts_resolve_to_callables():
         if not callable(obj):
             broken.append(f"{name} = {target}: not callable")
     assert broken == []
+
+
+def _third_party_imports(paths) -> set[str]:
+    """Top-level names of every absolute import in ``paths`` that is neither
+    in the standard library nor the package itself."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"latentflow"}
+
+
+def _requirement_names(requirements: list[str]) -> set[str]:
+    """Import names of PEP 508 requirements: the distribution name, lowered,
+    with dashes as underscores. Version floors are not compared."""
+    return {re.match(r"[A-Za-z0-9._-]+", r).group().lower().replace("-", "_") for r in requirements}
+
+
+def test_imports_match_the_declared_dependencies():
+    """The package imports exactly its declared dependencies, the tests
+    import nothing beyond them and the dev extras, and the pairing script
+    runs on the standard library alone."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    runtime = _requirement_names(project["dependencies"])
+    dev = _requirement_names(project["optional-dependencies"]["dev"])
+    assert _third_party_imports(sorted(PACKAGE.rglob("*.py"))) == runtime
+    assert _third_party_imports(sorted((ROOT / "tests").rglob("*.py"))) <= runtime | dev
+    assert _third_party_imports([ROOT / "scripts" / "bench_pairs.py"]) == set()

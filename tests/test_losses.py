@@ -3,17 +3,22 @@ import pytest
 
 from latentflow import autodiff as ad
 from latentflow.exceptions import ValidationError
-from latentflow.losses import LossWeights, generator_composite
+from latentflow.losses import _COMPOSITE_WEIGHTS, generator_composite
 
 PARTS = {"adv": 0.7, "fm": 1.3, "mel": 0.21, "kl": 2.5, "dsp": 9.0, "dur": 0.04, "aux": 0.33, "cfm": 1.7}
 
 
+def test_composite_weight_table():
+    assert list(_COMPOSITE_WEIGHTS.items()) == [
+        ("adv", 1.0), ("fm", 2.0), ("mel", 45.0), ("kl", 1.0), ("dsp", 1.0), ("dur", 1.0), ("aux", 1.0), ("cfm", 1.0),
+    ]
+
+
 @pytest.mark.parametrize("traced", ["adv", "mel", None])
 def test_generator_composite_total_is_the_weighted_sum_of_its_terms(traced):
-    weights = LossWeights(lambda_fm=2.0, lambda_mel=45.0, lambda_cfm=0.5)
     parts = {k: (ad.Tensor(np.asarray(v)) if k == traced else v) for k, v in PARTS.items()}
-    total, report = generator_composite(parts, weights)
-    lam = {"fm": 2.0, "mel": 45.0, "cfm": 0.5}
+    total, report = generator_composite(parts)
+    lam = {"fm": 2.0, "mel": 45.0}
     expected = sum(lam.get(k, 1.0) * v for k, v in report.terms.items())
     assert isinstance(total, ad.Tensor)
     assert report.terms == PARTS
@@ -27,9 +32,8 @@ def test_generator_composite_differentiates_each_part_by_its_weight():
     with ad.Tape() as tape:
         total, _ = generator_composite(params)
     grads = ad.backward(total, store, tape)
-    w = LossWeights()
-    assert grads["fm"] == w.lambda_fm and grads["mel"] == w.lambda_mel and grads["cfm"] == w.lambda_cfm
-    assert all(grads[k] == 1.0 for k in ("adv", "kl", "dsp", "dur", "aux"))
+    assert grads["fm"] == 2.0 and grads["mel"] == 45.0
+    assert all(grads[k] == 1.0 for k in ("adv", "kl", "dsp", "dur", "aux", "cfm"))
 
 
 def test_generator_composite_names_missing_parts():

@@ -99,7 +99,17 @@ def test_solve_nan_state_reports_last_t():
         return np.full_like(z, 1e4) * z  # explodes
 
     with pytest.raises(NumericalError):
-        solve(rhs, np.array(1.0), cfg=SolverConfig(max_rejected=5))
+        solve(rhs, np.array(1.0))
+
+
+def test_solve_gives_up_after_20_consecutive_rejections():
+    # a jump at t = 0 that no step size resolves: the error norm stays near
+    # |e . k| / (rel_tol * |b . k|) however small the step
+    def rhs(z, t):
+        return np.full_like(z, 1e300 if t > 0 else 0.0)
+
+    with pytest.raises(NumericalError, match="21 consecutive rejected steps at t=0"):
+        solve(rhs, np.array(1.0))
 
 
 def test_final_step_lands_exactly_on_t1():
@@ -112,8 +122,6 @@ def test_config_validation():
         SolverConfig(max_step=0.0).validate()
     with pytest.raises(ValidationError):
         SolverConfig(abs_tol=-1.0).validate()
-    with pytest.raises(ValidationError):
-        solve(lambda z, t: z, np.array(1.0), t0=1.0, t1=0.0)
 
 
 @st.composite

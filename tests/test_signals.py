@@ -1,3 +1,5 @@
+import wave
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from latentflow.signals import (
     singing_f0_contour,
     stft_magnitude,
 )
-from latentflow.wavegen import read_wav, write_wav
+from latentflow.wavegen import write_wav
 
 SMALL = MelConfig(sample_rate=4000, fft_size=32, window_size=16, hop_size=8, mel_bands=4, fmax=2000.0)
 
@@ -66,7 +68,7 @@ def test_mel_transform_t_gradients_match_finite_differences():
 def test_mel_transform_returns_spectrogram_of_mel_transform_t():
     y = np.random.default_rng(2).standard_normal(200)
     mel = mel_transform(y, SMALL)
-    assert isinstance(mel, MelSpectrogram) and (mel.bands, mel.frames) == (4, 24)
+    assert isinstance(mel, MelSpectrogram) and mel.values.shape == (4, 24)
     np.testing.assert_array_equal(mel.values, mel_transform_t(ad.Tensor(y), SMALL).data)
 
 
@@ -89,9 +91,11 @@ def test_wav_round_trip_within_one_quantization_step(tmp_path):
     y = np.clip(np.random.default_rng(4).standard_normal(1000) * 0.4, -1.0, 1.0)
     path = tmp_path / "x.wav"
     write_wav(path, y, 4000)
-    back = read_wav(path)
-    assert back.sample_rate == 4000 and len(back) == len(y)
-    assert np.max(np.abs(back.samples - y)) <= 1.0 / 32767.0
+    with wave.open(str(path), "rb") as f:
+        assert (f.getnchannels(), f.getsampwidth(), f.getframerate()) == (1, 2, 4000)
+        back = np.frombuffer(f.readframes(f.getnframes()), dtype="<i2") / 32767.0
+    assert len(back) == len(y)
+    assert np.max(np.abs(back - y)) <= 1.0 / 32767.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +148,7 @@ def test_f0_extract_finds_no_voicing_in_silence_or_noise(cfg, n):
 def test_f0_extract_is_on_the_mel_frame_grid(cfg, n):
     y = np.random.default_rng(n).standard_normal(n)
     f0, voiced = f0_extract(y, cfg)
-    assert len(f0) == len(voiced) == cfg.frame_count(n) == mel_transform(y, cfg).frames
+    assert len(f0) == len(voiced) == cfg.frame_count(n) == mel_transform(y, cfg).values.shape[1]
 
 
 def test_normalized_autocorrelation_matches_a_per_frame_loop():
