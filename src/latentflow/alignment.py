@@ -191,5 +191,4 @@ def duration_loss(d_target: np.ndarray, log_d_pred):
         raise ValidationError(f"duration_loss: lengths {d_target.shape} and {pv.shape} differ")
     if np.any(d_target < 1):
         raise ValidationError("duration_loss: target durations must be >= 1")
-
-    return ad.evaluate(lambda: ad.mean(ad.square(ad.sub(log_d_pred, np.log(d_target)))), log_d_pred)
+    return ad.mean(ad.square(ad.sub(log_d_pred, np.log(d_target))))

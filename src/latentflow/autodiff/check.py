@@ -6,8 +6,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..exceptions import ValidationError
 from .store import ParamStore, backward
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, value
 
 
 def finite_diff_check(
@@ -24,15 +25,15 @@ def finite_diff_check(
     ``loss_fn`` must rebuild the forward pass from the store's current
     values and be deterministic (dropout off or with a fixed mask). Before
     differencing, ``loss_fn`` is evaluated twice at the same parameters and
-    ``ValueError`` is raised if the two values differ; a nondeterministic
+    ``ValidationError`` is raised if the two values differ; a nondeterministic
     loss whose two probes happen to agree is not caught. Relative errors use
     denominators floored at 1e-8. ``max_coords_per_param`` caps the
     per-tensor work by probing a seeded random coordinate subset.
     """
-    probe_a = float(loss_fn().data)
-    probe_b = float(loss_fn().data)
+    probe_a = float(value(loss_fn()))
+    probe_b = float(value(loss_fn()))
     if probe_a != probe_b:
-        raise ValueError(
+        raise ValidationError(
             "finite_diff_check: loss function is not deterministic "
             f"({probe_a!r} vs {probe_b!r}); fix the seed or disable dropout"
         )
@@ -55,9 +56,9 @@ def finite_diff_check(
         for i in coords:
             orig = flat[i]
             flat[i] = orig + h
-            lp = float(loss_fn().data)
+            lp = float(value(loss_fn()))
             flat[i] = orig - h
-            lm = float(loss_fn().data)
+            lm = float(value(loss_fn()))
             flat[i] = orig
             fd = (lp - lm) / (2.0 * h)
             ad = gflat[i]

@@ -5,8 +5,11 @@ Conventions:
     operands, and an optional bias left as None, are constants.
   - Each op hands ``_make`` one ``(operand, vjp)`` edge per operand; vjp
     maps the output gradient to that operand's gradient, one array of its
-    shape. The tape keeps only edges whose operand is a Tensor, so no vjp
+    shape. ``_make`` keeps only edges whose operand is a Tensor, so no vjp
     ever runs for a constant.
+  - An op with no Tensor operand returns a plain ndarray (a numpy scalar
+    when 0-d) and records nothing, even inside an active Tape; only an op
+    with a Tensor operand returns a Tensor.
   - Elementwise binary ops require the result shape to equal every Tensor
     operand's shape (constants may broadcast up to it); general
     tensor-tensor broadcasting is deliberately unsupported. Bias-style
@@ -18,17 +21,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Node, Tensor, _check_finite, active_tape, value
+from ..exceptions import ValidationError
+from .tensor import Node, Tensor, _active_tape, _check_finite, value
 
 
-def _make(op: str, out_data: np.ndarray, *edges) -> Tensor:
+def _make(op: str, out_data: np.ndarray, *edges) -> Tensor | np.ndarray:
     _check_finite(op, out_data)
+    for operand, _ in edges:  # a loop, not a comprehension: it runs on every op, traced or not
+        if isinstance(operand, Tensor):
+            break
+    else:
+        return out_data
     out = Tensor(out_data)
-    tape = active_tape()
+    tape = _active_tape()
     if tape is not None:
-        edges = [e for e in edges if isinstance(e[0], Tensor)]
-        if edges:
-            tape.nodes.append(Node(op, out, edges))
+        tape.nodes.append(Node(op, out, [e for e in edges if isinstance(e[0], Tensor)]))
     return out
 
 
@@ -42,10 +49,10 @@ def _binary_vals(op: str, a, b) -> tuple[np.ndarray, np.ndarray]:
     try:
         out_shape = np.broadcast_shapes(av.shape, bv.shape)
     except ValueError:
-        raise ValueError(f"{op}: operand shapes {av.shape} and {bv.shape} do not conform") from None
+        raise ValidationError(f"{op}: operand shapes {av.shape} and {bv.shape} do not conform") from None
     for operand, v in ((a, av), (b, bv)):
         if isinstance(operand, Tensor) and v.shape != out_shape:
-            raise ValueError(
+            raise ValidationError(
                 f"{op}: tensor operand shape {v.shape} does not match result shape {out_shape}"
             )
     return av, bv
@@ -55,17 +62,17 @@ def _binary_vals(op: str, a, b) -> tuple[np.ndarray, np.ndarray]:
 # elementwise
 
 
-def add(a, b) -> Tensor:
+def add(a, b) -> Tensor | np.ndarray:
     av, bv = _binary_vals("add", a, b)
     return _make("add", av + bv, (a, lambda g: g), (b, lambda g: g))
 
 
-def sub(a, b) -> Tensor:
+def sub(a, b) -> Tensor | np.ndarray:
     av, bv = _binary_vals("sub", a, b)
     return _make("sub", av - bv, (a, lambda g: g), (b, np.negative))
 
 
-def mul(a, b) -> Tensor:
+def mul(a, b) -> Tensor | np.ndarray:
     av, bv = _binary_vals("mul", a, b)
     return _make("mul", av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
 
@@ -73,7 +80,7 @@ def mul(a, b) -> Tensor:
 _LEAKY_SLOPE = 0.1
 
 
-def leaky_relu(x) -> Tensor:
+def leaky_relu(x) -> Tensor | np.ndarray:
     """Leaky ReLU with slope 0.1: max(x, 0.1 * x)."""
     xv = value(x)
     out = np.maximum(xv, _LEAKY_SLOPE * xv)
@@ -91,39 +98,39 @@ def leaky_relu(x) -> Tensor:
     return _make("leaky_relu", out, (x, vjp))
 
 
-def tanh(x) -> Tensor:
+def tanh(x) -> Tensor | np.ndarray:
     out = np.tanh(value(x))
     return _make("tanh", out, (x, lambda g: g * (1.0 - out * out)))
 
 
-def exp(x) -> Tensor:
+def exp(x) -> Tensor | np.ndarray:
     out = np.exp(value(x))
     return _make("exp", out, (x, lambda g: g * out))
 
 
-def log(x) -> Tensor:
+def log(x) -> Tensor | np.ndarray:
     xv = value(x)
     out = np.log(xv)
     return _make("log", out, (x, lambda g: g / xv))
 
 
-def sqrt(x) -> Tensor:
+def sqrt(x) -> Tensor | np.ndarray:
     xv = value(x)
     out = np.sqrt(xv)
     return _make("sqrt", out, (x, lambda g: g * (0.5 / out)))
 
 
-def square(x) -> Tensor:
+def square(x) -> Tensor | np.ndarray:
     xv = value(x)
     return _make("square", xv * xv, (x, lambda g: 2.0 * xv * g))
 
 
-def absolute(x) -> Tensor:
+def absolute(x) -> Tensor | np.ndarray:
     xv = value(x)
     return _make("abs", np.abs(xv), (x, lambda g: g * np.sign(xv)))
 
 
-def clamp(x, lo: float | None = None, hi: float | None = None) -> Tensor:
+def clamp(x, lo: float | None = None, hi: float | None = None) -> Tensor | np.ndarray:
     xv = value(x)
     out = np.clip(xv, lo, hi)
     pass_mask = np.ones_like(xv, dtype=bool)
@@ -134,14 +141,14 @@ def clamp(x, lo: float | None = None, hi: float | None = None) -> Tensor:
     return _make("clamp", out, (x, lambda g: np.where(pass_mask, g, 0.0)))
 
 
-def dropout(x, p: float, rng: np.random.Generator | None = None, training: bool = False) -> Tensor:
+def dropout(x, p: float, rng: np.random.Generator | None = None, training: bool = False) -> Tensor | np.ndarray:
     """Inverted dropout: scales by 1/(1-p) at train time so inference is identity."""
     if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout: p must be in [0, 1), got {p}")
+        raise ValidationError(f"dropout: p must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        return x if isinstance(x, Tensor) else Tensor(value(x))
+        return x
     if rng is None:
-        raise ValueError("dropout: training mode requires a seeded Generator")
+        raise ValidationError("dropout: training mode requires a seeded Generator")
     xv = value(x)
     keep = (rng.random(xv.shape) >= p) / (1.0 - p)
     return _make("dropout", xv * keep, (x, lambda g: g * keep))
@@ -151,31 +158,31 @@ def dropout(x, p: float, rng: np.random.Generator | None = None, training: bool 
 # reductions and reshaping
 
 
-def total(x) -> Tensor:
+def total(x) -> Tensor | np.ndarray:
     xv = value(x)
     return _make("sum", np.asarray(xv.sum()), (x, lambda g: np.broadcast_to(g, xv.shape).copy()))
 
 
-def mean(x) -> Tensor:
+def mean(x) -> Tensor | np.ndarray:
     xv = value(x)
     n = xv.size
     return _make("mean", np.asarray(xv.mean()), (x, lambda g: np.broadcast_to(g / n, xv.shape).copy()))
 
 
-def reshape(x, shape) -> Tensor:
+def reshape(x, shape) -> Tensor | np.ndarray:
     xv = value(x)
     out = xv.reshape(shape)
     return _make("reshape", out, (x, lambda g: g.reshape(xv.shape)))
 
 
-def transpose(x, axes) -> Tensor:
+def transpose(x, axes) -> Tensor | np.ndarray:
     xv = value(x)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     return _make("transpose", xv.transpose(axes).copy(), (x, lambda g: g.transpose(inv)))
 
 
-def concat(parts, axis: int) -> Tensor:
+def concat(parts, axis: int) -> Tensor | np.ndarray:
     vals = [value(p) for p in parts]
     out = np.concatenate(vals, axis=axis)
     splits = np.cumsum([v.shape[axis] for v in vals])[:-1]
@@ -183,11 +190,11 @@ def concat(parts, axis: int) -> Tensor:
     return _make("concat", out, *edges)
 
 
-def narrow(x, axis: int, start: int, length: int) -> Tensor:
+def narrow(x, axis: int, start: int, length: int) -> Tensor | np.ndarray:
     """Slice ``length`` entries from ``start`` along ``axis``."""
     xv = value(x)
     if start < 0 or start + length > xv.shape[axis]:
-        raise ValueError(
+        raise ValidationError(
             f"narrow: slice [{start}, {start + length}) out of range for axis {axis} of shape {xv.shape}"
         )
     idx = [slice(None)] * xv.ndim
@@ -202,7 +209,7 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     return _make("narrow", xv[idx].copy(), (x, vjp))
 
 
-def pad_last(x, before: int, after: int) -> Tensor:
+def pad_last(x, before: int, after: int) -> Tensor | np.ndarray:
     """Zero-pad along the final axis."""
     xv = value(x)
     width = [(0, 0)] * (xv.ndim - 1) + [(before, after)]
@@ -211,14 +218,14 @@ def pad_last(x, before: int, after: int) -> Tensor:
     return _make("pad_last", out, (x, lambda g: g[sl]))
 
 
-def take_rows(w, ids) -> Tensor:
+def take_rows(w, ids) -> Tensor | np.ndarray:
     """Row gather (embedding lookup): w[ids] for a 2-D table."""
     wv = value(w)
     ids = np.asarray(ids, dtype=np.intp)
     if wv.ndim != 2:
-        raise ValueError(f"take_rows: table must be 2-D, got shape {wv.shape}")
+        raise ValidationError(f"take_rows: table must be 2-D, got shape {wv.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= wv.shape[0]):
-        raise ValueError(f"take_rows: index out of range for table with {wv.shape[0]} rows")
+        raise ValidationError(f"take_rows: index out of range for table with {wv.shape[0]} rows")
 
     def vjp(g):
         gw = np.zeros_like(wv)
@@ -232,21 +239,21 @@ def take_rows(w, ids) -> Tensor:
 # linear algebra
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b) -> Tensor | np.ndarray:
     av, bv = value(a), value(b)
     if av.ndim != 2 or bv.ndim not in (1, 2):
-        raise ValueError(f"matmul: unsupported operand ranks {av.ndim} and {bv.ndim}")
+        raise ValidationError(f"matmul: unsupported operand ranks {av.ndim} and {bv.ndim}")
     if av.shape[1] != bv.shape[0]:
-        raise ValueError(f"matmul: inner dims disagree, {av.shape} @ {bv.shape}")
+        raise ValidationError(f"matmul: inner dims disagree, {av.shape} @ {bv.shape}")
     ga = (lambda g: g @ bv.T) if bv.ndim == 2 else (lambda g: np.outer(g, bv))
     return _make("matmul", av @ bv, (a, ga), (b, lambda g: av.T @ g))
 
 
-def add_frame_bias(x, b) -> Tensor:
+def add_frame_bias(x, b) -> Tensor | np.ndarray:
     """x[B, C, T] + b[B, C, 1]: per-element per-channel bias shared over frames."""
     xv, bv = value(x), value(b)
     if xv.ndim != 3 or bv.shape != (xv.shape[0], xv.shape[1], 1):
-        raise ValueError(f"add_frame_bias: shapes {xv.shape} and {bv.shape} do not conform")
+        raise ValidationError(f"add_frame_bias: shapes {xv.shape} and {bv.shape} do not conform")
     return _make("add_frame_bias", xv + bv, (x, lambda g: g), (b, lambda g: g.sum(axis=2, keepdims=True)))
 
 
@@ -257,7 +264,7 @@ def add_frame_bias(x, b) -> Tensor:
 def _same_pad(kernel: int, dilation: int) -> int:
     span = (kernel - 1) * dilation
     if span % 2:
-        raise ValueError(f"conv1d: same-length padding needs even (kernel-1)*dilation, got {span}")
+        raise ValidationError(f"conv1d: same-length padding needs even (kernel-1)*dilation, got {span}")
     return span // 2
 
 
@@ -318,12 +325,12 @@ def _add_bias(op: str, out: np.ndarray, bias) -> np.ndarray:
         return out
     bv = value(bias)
     if bv.shape != (out.shape[1],):
-        raise ValueError(f"{op}: bias shape {bv.shape} != ({out.shape[1]},)")
+        raise ValidationError(f"{op}: bias shape {bv.shape} != ({out.shape[1]},)")
     out += bv[:, None]
     return out
 
 
-def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1, padding=None) -> Tensor:
+def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1, padding=None) -> Tensor | np.ndarray:
     """Dilated 1-D convolution of x[B, Cin, T] with w[Cout, Cin/groups, K].
 
     groups is 1 (dense) or Cin == Cout (depthwise, w[C, 1, K]).
@@ -332,21 +339,21 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
     """
     xv, wv = value(x), value(w)
     if xv.ndim != 3 or wv.ndim != 3:
-        raise ValueError(f"conv1d: expected 3-D input and weight, got {xv.shape} and {wv.shape}")
+        raise ValidationError(f"conv1d: expected 3-D input and weight, got {xv.shape} and {wv.shape}")
     B, Ci, T = xv.shape
     Co, Cig, K = wv.shape
     if Ci != Cig * groups or Co % groups:
-        raise ValueError(
+        raise ValidationError(
             f"conv1d: weight {wv.shape} incompatible with input {xv.shape} under groups={groups}"
         )
     depthwise = groups != 1
     if depthwise and not groups == Ci == Co:
-        raise ValueError(f"conv1d: groups={groups} must be 1 or equal the {Ci} input and {Co} output channels")
+        raise ValidationError(f"conv1d: groups={groups} must be 1 or equal the {Ci} input and {Co} output channels")
     pad = _same_pad(K, dilation) if padding is None else int(padding)
     span = (K - 1) * dilation
     t_out = (T + 2 * pad - span - 1) // stride + 1
     if t_out <= 0:
-        raise ValueError(f"conv1d: input of {T} frames too short for kernel {K} dilation {dilation}")
+        raise ValidationError(f"conv1d: input of {T} frames too short for kernel {K} dilation {dilation}")
 
     if pad:
         xp = np.zeros((B, Ci, T + 2 * pad))
@@ -372,7 +379,7 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
     return _make("conv1d", out, (x, vjp_x), (w, vjp_w), (bias, lambda g: g.sum(axis=(0, 2))))
 
 
-def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor:
+def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor | np.ndarray:
     """Transposed 1-D convolution of x[B, Cin, T] with w[Cin, Cout, K]: the
     input gradient of conv1d(., w, stride=stride, padding=(K - stride)/2).
 
@@ -381,13 +388,13 @@ def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor:
     """
     xv, wv = value(x), value(w)
     if xv.ndim != 3 or wv.ndim != 3:
-        raise ValueError(f"conv_transpose1d: expected 3-D input and weight, got {xv.shape} and {wv.shape}")
+        raise ValidationError(f"conv_transpose1d: expected 3-D input and weight, got {xv.shape} and {wv.shape}")
     B, Ci, T = xv.shape
     Ciw, Co, K = wv.shape
     if Ci != Ciw:
-        raise ValueError(f"conv_transpose1d: weight {wv.shape} incompatible with input {xv.shape}")
+        raise ValidationError(f"conv_transpose1d: weight {wv.shape} incompatible with input {xv.shape}")
     if K < stride or (K - stride) % 2:
-        raise ValueError(f"conv_transpose1d: need kernel >= stride with even difference, got K={K} stride={stride}")
+        raise ValidationError(f"conv_transpose1d: need kernel >= stride with even difference, got K={K} stride={stride}")
     pad = (K - stride) // 2
     full = (T - 1) * stride + K
     out_full = _col2im(_dense_t(xv, wv), full, 1, stride)
@@ -402,15 +409,15 @@ def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor:
                  (w, lambda g: _dense_w(xv, gcols(g)).reshape(wv.shape)), (bias, lambda g: g.sum(axis=(0, 2))))
 
 
-def frame_signal(x, frame: int, hop: int) -> Tensor:
+def frame_signal(x, frame: int, hop: int) -> Tensor | np.ndarray:
     """Frame a 1-D signal into [n_frames, frame] with the shape law
     n_frames = 1 + (len - frame) // hop."""
     xv = value(x)
     if xv.ndim != 1:
-        raise ValueError(f"frame_signal: expected 1-D signal, got shape {xv.shape}")
+        raise ValidationError(f"frame_signal: expected 1-D signal, got shape {xv.shape}")
     L = xv.shape[0]
     if L < frame:
-        raise ValueError(f"frame_signal: signal of {L} samples shorter than frame {frame}")
+        raise ValidationError(f"frame_signal: signal of {L} samples shorter than frame {frame}")
     n = 1 + (L - frame) // hop
     out = _im2col(xv, frame, 1, hop, n).T.copy()
     return _make("frame_signal", out, (x, lambda g: _col2im(g.T, L, 1, hop)))
@@ -419,7 +426,7 @@ def frame_signal(x, frame: int, hop: int) -> Tensor:
 _MAG_FLOOR = 1e-30  # keeps the magnitude differentiable at silent bins
 
 
-def rfft_magnitude(x, n: int) -> Tensor:
+def rfft_magnitude(x, n: int) -> Tensor | np.ndarray:
     """Magnitude spectrum |rfft(x, n)| of each row of x[F, W], W <= n, with
     the rows zero-padded to n: [F, n//2 + 1] values sqrt(re^2 + im^2 + 1e-30).
 
@@ -428,7 +435,7 @@ def rfft_magnitude(x, n: int) -> Tensor:
     """
     xv = value(x)
     if xv.ndim != 2 or xv.shape[1] > n:
-        raise ValueError(f"rfft_magnitude: expected [frames, width <= {n}] input, got shape {xv.shape}")
+        raise ValidationError(f"rfft_magnitude: expected [frames, width <= {n}] input, got shape {xv.shape}")
     spec = np.fft.rfft(xv, n=n, axis=1)
     out = np.sqrt(spec.real * spec.real + spec.imag * spec.imag + _MAG_FLOOR)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import ValidationError
 from .tensor import Tensor, Tape, grad
 
 # Adam's moment decay rates and denominator floor
@@ -24,7 +25,7 @@ class ParamStore:
 
     def create(self, name: str, data) -> Tensor:
         if name in self._params:
-            raise ValueError(f"parameter {name!r} already exists")
+            raise ValidationError(f"parameter {name!r} already exists")
         t = Tensor(np.array(data, dtype=np.float64))
         self._params[name] = t
         return t
@@ -45,15 +46,15 @@ class ParamStore:
         missing = set(self._params) - set(state)
         extra = set(state) - set(self._params)
         if missing or extra:
-            raise ValueError(f"state dict mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+            raise ValidationError(f"state dict mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, arr in state.items():
             t = self._params[name]
             if t.data.shape != arr.shape:
-                raise ValueError(f"parameter {name!r}: shape {arr.shape} != expected {t.data.shape}")
+                raise ValidationError(f"parameter {name!r}: shape {arr.shape} != expected {t.data.shape}")
             t.data[...] = arr
 
 
-def backward(loss: Tensor, store: ParamStore, tape: Tape) -> dict[str, np.ndarray]:
+def backward(loss: Tensor | np.ndarray, store: ParamStore, tape: Tape) -> dict[str, np.ndarray]:
     """Gradient map name -> array for every parameter.
 
     Parameters not reachable from the loss get zero gradients.
@@ -72,7 +73,7 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], lr: float = 2e-4)
     c2 = 1.0 - _BETA2**t
     for name in store.names():
         if name not in grads:
-            raise ValueError(f"adam_step: missing gradient for parameter {name!r} (detached graph?)")
+            raise ValidationError(f"adam_step: missing gradient for parameter {name!r} (detached graph?)")
         g = grads[name]
         p = store[name]
         m = store._m.get(name)

@@ -6,6 +6,10 @@ output and one ``(operand, vjp)`` edge per Tensor operand, where vjp maps
 the output's gradient to that operand's. Nodes are appended in execution
 order, so the list is topologically sorted by construction; ``grad`` marks
 what depends on ``wrt`` in one forward pass, then runs one reverse sweep.
+
+Constants are ndarrays and Python scalars. An op with no Tensor operand
+returns a plain ndarray (a numpy scalar when 0-d) and records nothing, even
+inside an active Tape, so a computation on constants stays constant.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..exceptions import NumericalError
+from ..exceptions import NumericalError, ValidationError
 
 _TAPES: list["Tape"] = []
 _DEBUG_CHECKS = False
@@ -51,36 +55,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
-    # Operator sugar; the heavy lifting lives in ops.py.
-    def __add__(self, other):
-        from . import ops
-
-        return ops.add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        from . import ops
-
-        return ops.sub(self, other)
-
-    def __rsub__(self, other):
-        from . import ops
-
-        return ops.sub(other, self)
-
-    def __mul__(self, other):
-        from . import ops
-
-        return ops.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        from . import ops
-
-        return ops.mul(self, -1.0)
-
 
 class Node:
     """One recorded op: its name, its output, and one (operand, vjp) edge
@@ -112,7 +86,7 @@ class Tape:
         return len(self.nodes)
 
 
-def active_tape() -> Tape | None:
+def _active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
@@ -134,28 +108,12 @@ def value(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def evaluate(body: Callable[[], Tensor], *inputs):
-    """Run ``body()``, a computation on ad ops over ``inputs``.
-
-    When any input is a Tensor the body runs as usual and its Tensor is
-    returned. Otherwise every input is a constant: the body runs under
-    ``no_grad``, so it records nothing even inside an active Tape, and the
-    result is unwrapped once, to a float when it is 0-d and to an ndarray
-    otherwise.
-    """
-    if any(isinstance(x, Tensor) for x in inputs):
-        return body()
-    with no_grad():
-        out = value(body())
-    return float(out) if out.ndim == 0 else out
-
-
 def _check_finite(op: str, arr: np.ndarray) -> None:
     if _DEBUG_CHECKS and not np.all(np.isfinite(arr)):
         raise NumericalError(f"{op}: non-finite values produced (debug evaluation mode)")
 
 
-def grad(loss: Tensor, wrt: Iterable[Tensor], tape: Tape) -> list[np.ndarray]:
+def grad(loss: Tensor | np.ndarray, wrt: Iterable[Tensor], tape: Tape) -> list[np.ndarray]:
     """Vector-Jacobian sweep of ``tape`` from scalar ``loss``.
 
     Returns one gradient array per tensor in ``wrt``; tensors unreachable
@@ -163,8 +121,8 @@ def grad(loss: Tensor, wrt: Iterable[Tensor], tape: Tape) -> list[np.ndarray]:
     on ``wrt`` run their vjp, so no gradient is formed for a constant or for
     a tensor outside ``wrt``'s reach.
     """
-    if loss.data.shape != ():
-        raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+    if value(loss).shape != ():
+        raise ValidationError(f"backward: loss must be scalar, got shape {value(loss).shape}")
     wrt = list(wrt)
     marked = {id(w) for w in wrt}
     for node in tape.nodes:

@@ -71,12 +71,8 @@ def sample_reparam(g: DiagonalGaussianSeq, rng: np.random.Generator):
     Differentiable in the Gaussian parameters when they are Tensors.
     """
     eps = rng.standard_normal(g.shape)
-
-    def body():
-        sigma = ad.exp(ad.mul(g.log_var, 0.5))
-        return ad.add(g.mean, ad.mul(sigma, eps))
-
-    return ad.evaluate(body, g.mean, g.log_var)
+    sigma = ad.exp(ad.mul(g.log_var, 0.5))
+    return ad.add(g.mean, ad.mul(sigma, eps))
 
 
 def kl_divergence(q: DiagonalGaussianSeq, p: DiagonalGaussianSeq):
@@ -87,15 +83,11 @@ def kl_divergence(q: DiagonalGaussianSeq, p: DiagonalGaussianSeq):
     if q.shape != p.shape:
         raise ValidationError(f"kl_divergence: shapes {q.shape} and {p.shape} differ")
     frames = q.shape[-1] if len(q.shape) > 1 else 1
-
-    def body():
-        diff = ad.sub(q.mean, p.mean)
-        inv_p = ad.exp(ad.mul(p.log_var, -1.0))
-        quad = ad.mul(ad.mul(ad.add(ad.exp(q.log_var), ad.square(diff)), inv_p), 0.5)
-        per_coord = ad.add(ad.add(ad.mul(ad.sub(p.log_var, q.log_var), 0.5), quad), -0.5)
-        return ad.mul(ad.total(per_coord), 1.0 / frames)
-
-    return ad.evaluate(body, q.mean, q.log_var, p.mean, p.log_var)
+    diff = ad.sub(q.mean, p.mean)
+    inv_p = ad.exp(ad.mul(p.log_var, -1.0))
+    quad = ad.mul(ad.mul(ad.add(ad.exp(q.log_var), ad.square(diff)), inv_p), 0.5)
+    per_coord = ad.add(ad.add(ad.mul(ad.sub(p.log_var, q.log_var), 0.5), quad), -0.5)
+    return ad.mul(ad.total(per_coord), 1.0 / frames)
 
 
 @dataclass
@@ -211,7 +203,7 @@ def expand_to_frames(x, durations: np.ndarray):
     if np.any(durations < 1):
         raise ValidationError("expand_to_frames: durations must be >= 1")
     idx = np.repeat(np.arange(len(durations)), durations)
-    return ad.evaluate(lambda: ad.transpose(ad.take_rows(ad.transpose(x, (1, 0)), idx), (1, 0)), x)
+    return ad.transpose(ad.take_rows(ad.transpose(x, (1, 0)), idx), (1, 0))
 
 
 class PriorEncoder:

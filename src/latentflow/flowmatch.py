@@ -37,13 +37,13 @@ def interpolate(z_p, z_q, t):
     if tv.min() < 0.0 or tv.max() > 1.0:
         raise ValidationError(f"interpolate: t must lie in [0, 1], got {t}")
     ts = _tspread(tv, ad.value(z_p))
-    return ad.evaluate(lambda: ad.add(ad.mul(z_p, 1.0 - ts), ad.mul(z_q, ts)), z_p, z_q)
+    return ad.add(ad.mul(z_p, 1.0 - ts), ad.mul(z_q, ts))
 
 
 def target_velocity(z_p, z_q):
     """Constant velocity of the straight-line path: z_q - z_p."""
     _pair_shapes("target_velocity", z_p, z_q)
-    return ad.evaluate(lambda: ad.sub(z_q, z_p), z_p, z_q)
+    return ad.sub(z_q, z_p)
 
 
 def cfm_loss(field: VelocityField, z_p, z_q, t, cond=None, train: bool = True, rng=None) -> ad.Tensor:

@@ -3,7 +3,8 @@ mel reconstruction, DSP consistency, auxiliary prediction, duration, and
 the weighted composite objective.
 
 All norms are mean-reduced over elements so the weights keep their
-meaning across model scales.
+meaning across model scales. A loss is a Tensor when any input it reads is
+one, and a plain value when every input is a constant.
 """
 from __future__ import annotations
 
@@ -24,11 +25,11 @@ class LossReport:
     total: float = 0.0
 
 
-def _mean_sq(x) -> ad.Tensor:
+def _mean_sq(x) -> ad.Tensor | np.ndarray:
     return ad.mean(ad.square(x))
 
 
-def adv_generator(fake_scores: list) -> ad.Tensor:
+def adv_generator(fake_scores: list) -> ad.Tensor | np.ndarray:
     """Least-squares generator objective: sum_k mean((D_k(fake) - 1)^2)."""
     if not fake_scores:
         raise ValidationError("adv_generator: empty discriminator suite")
@@ -39,7 +40,7 @@ def adv_generator(fake_scores: list) -> ad.Tensor:
     return loss
 
 
-def adv_discriminator(real_scores: list, fake_scores: list) -> ad.Tensor:
+def adv_discriminator(real_scores: list, fake_scores: list) -> ad.Tensor | np.ndarray:
     """Least-squares discriminator objective:
     sum_k [mean((D_k(real) - 1)^2) + mean(D_k(fake)^2)]."""
     if len(real_scores) != len(fake_scores):
@@ -55,7 +56,7 @@ def adv_discriminator(real_scores: list, fake_scores: list) -> ad.Tensor:
     return loss
 
 
-def feature_matching(real_features: list, fake_features: list) -> ad.Tensor:
+def feature_matching(real_features: list, fake_features: list) -> ad.Tensor | np.ndarray:
     """Per-layer normalized L1 between real and generated activations:
     sum_k sum_l (1/N_kl) ||real - fake||_1. Real activations are treated
     as constants."""
@@ -80,7 +81,7 @@ def feature_matching(real_features: list, fake_features: list) -> ad.Tensor:
     return loss
 
 
-def mel_reconstruction(y_ref, y_gen, cfg: MelConfig) -> ad.Tensor:
+def mel_reconstruction(y_ref, y_gen, cfg: MelConfig) -> ad.Tensor | np.ndarray:
     """Mean L1 between the log-mel transforms of two equal-length
     waveforms; the reference is a constant."""
     ref, gen_len = ad.value(y_ref), ad.value(y_gen).shape[-1]
@@ -89,13 +90,13 @@ def mel_reconstruction(y_ref, y_gen, cfg: MelConfig) -> ad.Tensor:
     return ad.mean(ad.absolute(ad.sub(mel_transform_t(y_gen, cfg), mel_transform_t(ref, cfg))))
 
 
-def dsp_consistency(y_dsp, y_ref, cfg: MelConfig) -> ad.Tensor:
+def dsp_consistency(y_dsp, y_ref, cfg: MelConfig) -> ad.Tensor | np.ndarray:
     """Mel L1 anchoring the signal-processing branch to the target, carrying
     its weight of 45 internally."""
     return ad.mul(mel_reconstruction(y_ref, y_dsp, cfg), 45.0)
 
 
-def aux_prediction(true_log_f0, true_mel, pred_log_f0, pred_mel) -> ad.Tensor:
+def aux_prediction(true_log_f0, true_mel, pred_log_f0, pred_mel) -> ad.Tensor | np.ndarray:
     """MSE on log-f0 plus mean L1 on the mel prediction."""
     tf0 = np.asarray(true_log_f0, dtype=np.float64)
     tmel = np.asarray(true_mel, dtype=np.float64)
@@ -112,12 +113,12 @@ def aux_prediction(true_log_f0, true_mel, pred_log_f0, pred_mel) -> ad.Tensor:
 _COMPOSITE_WEIGHTS = {"adv": 1.0, "fm": 2.0, "mel": 45.0, "kl": 1.0, "dsp": 1.0, "dur": 1.0, "aux": 1.0, "cfm": 1.0}
 
 
-def generator_composite(parts: dict) -> tuple[ad.Tensor, LossReport]:
+def generator_composite(parts: dict) -> tuple[ad.Tensor | np.ndarray, LossReport]:
     """Weighted sum of all generator terms.
 
     total = adv + 2 fm + 45 mel + kl + dsp + dur + aux + cfm
     where the dsp part already carries its own weight. Returns the total
-    Tensor and an itemized LossReport whose total is the Tensor's value.
+    and an itemized LossReport whose total is the total's value.
     """
     missing = [name for name in _COMPOSITE_WEIGHTS if name not in parts]
     if missing:

@@ -116,13 +116,9 @@ def stft_magnitude(y, cfg: MelConfig):
     if yv.ndim != 1:
         raise ValidationError(f"stft: expected 1-D signal, got shape {yv.shape}")
     cfg.frame_count(len(yv))  # raises for a signal shorter than the window
-
-    def body():
-        frames = ad.frame_signal(y, cfg.window_size, cfg.hop_size)
-        windowed = ad.mul(frames, periodic_hann(cfg.window_size)[None, :])
-        return ad.transpose(ad.rfft_magnitude(windowed, cfg.fft_size), (1, 0))
-
-    return ad.evaluate(body, y)
+    frames = ad.frame_signal(y, cfg.window_size, cfg.hop_size)
+    windowed = ad.mul(frames, periodic_hann(cfg.window_size)[None, :])
+    return ad.transpose(ad.rfft_magnitude(windowed, cfg.fft_size), (1, 0))
 
 
 def mel_transform_t(y, cfg: MelConfig):
@@ -131,12 +127,8 @@ def mel_transform_t(y, cfg: MelConfig):
 
     A Tensor waveform gives a Tensor; a plain one gives an ndarray.
     """
-
-    def body():
-        mel = ad.matmul(mel_filterbank(cfg), stft_magnitude(y, cfg))
-        return ad.log(ad.clamp(mel, lo=_LOG_FLOOR))
-
-    return ad.evaluate(body, y)
+    mel = ad.matmul(mel_filterbank(cfg), stft_magnitude(y, cfg))
+    return ad.log(ad.clamp(mel, lo=_LOG_FLOOR))
 
 
 def mel_transform(y, cfg: MelConfig) -> MelSpectrogram:

@@ -180,8 +180,8 @@ def test_conv_transpose1d_is_the_adjoint_of_strided_conv1d(cin, cout, k, stride)
     x = rng.standard_normal((2, cin, 7))
     w = rng.standard_normal((cin, cout, k))
     y = rng.standard_normal((2, cout, 7 * stride))
-    lhs = np.vdot(ad.conv_transpose1d(x, w, stride=stride).data, y)
-    rhs = np.vdot(x, ad.conv1d(y, w, stride=stride, padding=(k - stride) // 2).data)
+    lhs = np.vdot(ad.conv_transpose1d(x, w, stride=stride), y)
+    rhs = np.vdot(x, ad.conv1d(y, w, stride=stride, padding=(k - stride) // 2))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -219,7 +219,7 @@ def test_conv1d_matches_direct_sum(depthwise, kernel, dilation, stride, padding)
     out = ad.conv1d(x, w, bias, stride=stride, dilation=dilation, groups=cin if depthwise else 1, padding=padding)
     pad = (kernel - 1) * dilation // 2 if padding is None else padding
     expected = _conv1d_direct(x, w, bias, stride, dilation, pad, depthwise)
-    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
 def _conv1d_adjoint_case(depthwise, kernel, dilation, stride, padding):

@@ -1,9 +1,9 @@
 """Repository hygiene, checked with the standard library only: every
 module-level import in the package is used, every dataclass field is read,
 every public name has a caller outside the tests, every differentiable op
-has a finite-difference test, the imports match the declared dependencies,
-and every console script declared in pyproject.toml resolves to a
-callable."""
+has a finite-difference test, every raise is a ValidationError or a
+NumericalError, the imports match the declared dependencies, and every
+console script declared in pyproject.toml resolves to a callable."""
 import ast
 import importlib
 import re
@@ -145,6 +145,19 @@ def test_every_differentiable_op_has_a_finite_difference_test():
     assert ops and sorted(ops - checked) == []
 
 
+def test_every_raise_in_the_package_is_a_validation_or_numerical_error():
+    """Bad input fails with ValidationError and a numerical breakdown with
+    NumericalError; the package raises no other type, and no bare re-raise."""
+    other = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) not in ("ValidationError", "NumericalError"):
+                    other.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert other == []
+
+
 def test_console_scripts_resolve_to_callables():
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"].get("scripts", {})
     broken = []
@@ -183,11 +196,13 @@ def _requirement_names(requirements: list[str]) -> set[str]:
 
 def test_imports_match_the_declared_dependencies():
     """The package imports exactly its declared dependencies, the tests
-    import nothing beyond them and the dev extras, and the pairing script
-    runs on the standard library alone."""
+    import nothing beyond them, the dev extras and one another, and the
+    pairing script runs on the standard library alone."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     runtime = _requirement_names(project["dependencies"])
     dev = _requirement_names(project["optional-dependencies"]["dev"])
     assert _third_party_imports(sorted(PACKAGE.rglob("*.py"))) == runtime
-    assert _third_party_imports(sorted((ROOT / "tests").rglob("*.py"))) <= runtime | dev
+    tests = sorted((ROOT / "tests").rglob("*.py"))
+    siblings = {p.stem for p in tests}  # a test module may import another one
+    assert _third_party_imports(tests) - siblings <= runtime | dev
     assert _third_party_imports([ROOT / "scripts" / "bench_pairs.py"]) == set()

@@ -95,10 +95,19 @@ def test_gaussian_oracle_flow_maps_prior_quantiles_to_posterior():
 
 
 def test_solve_nan_state_reports_last_t():
+    # every stage is finite, but the second accepted step overflows the state
+    def rhs(z, t):
+        return np.full_like(z, 1e308)
+
+    with pytest.raises(NumericalError, match=r"solve: NaN in state after accepted step; last accepted t=0\.5$"):
+        solve(rhs, np.array(1.5e308), cfg=SolverConfig(max_step=0.25))
+
+
+def test_exploding_rhs_reports_the_stage_and_its_t():
     def rhs(z, t):
         return np.full_like(z, 1e4) * z  # explodes
 
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match=r"dopri5_step: non-finite value in stage 5 at t=0\.0698173$"):
         solve(rhs, np.array(1.0))
 
 
