@@ -16,10 +16,11 @@ _KERNEL = 5
 _LOG_VAR_MIN, _LOG_VAR_MAX = -14.0, 6.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoreCondition:
     """Per-position score features: phoneme token, note pitch (MIDI), note
-    duration in frames, and a note id for boundary constraints."""
+    duration in frames, and a note id for boundary constraints. Checked
+    once at construction and stored as read-only int64 copies."""
 
     tokens: np.ndarray
     note_pitch: np.ndarray
@@ -27,10 +28,11 @@ class ScoreCondition:
     note_id: np.ndarray
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.int64)
-        self.note_pitch = np.asarray(self.note_pitch, dtype=np.int64)
-        self.note_duration = np.asarray(self.note_duration, dtype=np.int64)
-        self.note_id = np.asarray(self.note_id, dtype=np.int64)
+        for name in ("tokens", "note_pitch", "note_duration", "note_id"):
+            a = np.array(getattr(self, name), dtype=np.int64)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        self.validate()
 
     def validate(self) -> "ScoreCondition":
         n = len(self.tokens)
@@ -90,7 +92,7 @@ def kl_divergence(q: DiagonalGaussianSeq, p: DiagonalGaussianSeq):
     return ad.mul(ad.total(per_coord), 1.0 / frames)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatentConfig:
     channels: int = 8
     hidden: int = 32
@@ -100,11 +102,10 @@ class LatentConfig:
     vocab_size: int = 64
     mel_bands: int = 16
 
-    def validate(self) -> "LatentConfig":
+    def __post_init__(self):
         for name in ("channels", "hidden", "blocks", "embed_dim", "vocab_size", "mel_bands"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"latent config: {name} must be >= 1")
-        return self
 
 
 class _ResidualConvStack:
@@ -140,7 +141,7 @@ class PosteriorEncoder:
     """
 
     def __init__(self, cfg: LatentConfig, store: ad.ParamStore, rng: np.random.Generator):
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         h = cfg.hidden
         self.pre_w = store.create("post.pre.w", rng.standard_normal((h, cfg.mel_bands, 1)) / np.sqrt(cfg.mel_bands))
         self.pre_b = store.create("post.pre.b", np.zeros(h))
@@ -217,7 +218,7 @@ class PriorEncoder:
     """
 
     def __init__(self, cfg: LatentConfig, store: ad.ParamStore, rng: np.random.Generator):
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         h = cfg.hidden
         self.embed = store.create("prior.embed", rng.standard_normal((cfg.vocab_size, cfg.embed_dim)) * 0.3)
         cin = cfg.embed_dim + 2  # embedding + normalized pitch + log duration
@@ -237,7 +238,6 @@ class PriorEncoder:
     def __call__(self, cond: ScoreCondition, durations: np.ndarray | None = None) -> PriorEncoderOutput:
         """``durations``: ground-truth frame counts per token (training);
         None decodes them from the duration head (inference)."""
-        cond.validate()
         cfg = self.cfg
         if cond.tokens.min() < 0 or cond.tokens.max() >= cfg.vocab_size:
             raise ValidationError(

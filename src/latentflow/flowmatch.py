@@ -102,7 +102,7 @@ def train_cfm(
     return losses
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianTransportSpec:
     """Independent diagonal-Gaussian endpoints, per coordinate:
     prior N(a, s^2) and posterior N(b, r^2). Verification oracle for the
@@ -113,10 +113,9 @@ class GaussianTransportSpec:
     b: float = 3.0
     r: float = 0.5
 
-    def validate(self) -> "GaussianTransportSpec":
+    def __post_init__(self):
         if self.s <= 0 or self.r <= 0:
             raise ValidationError(f"gaussian transport: stds must be positive, got s={self.s}, r={self.r}")
-        return self
 
     def path_mean(self, t):
         return (1.0 - t) * self.a + t * self.b
@@ -147,7 +146,6 @@ def gaussian_oracle_velocity(spec: GaussianTransportSpec, t, z):
         v*(z, t) = (b - a) + [(t r^2 - (1-t) s^2) / ((1-t)^2 s^2 + t^2 r^2)]
                    * (z - mu_t),  mu_t = (1-t) a + t b.
     """
-    spec.validate()
     t = np.asarray(t, dtype=np.float64)
     denom = spec.path_var(t)
     if np.any(denom == 0.0):

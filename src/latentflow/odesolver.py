@@ -31,7 +31,7 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
 _MAX_REJECTED = 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Adaptive step-control settings.
 
@@ -49,12 +49,11 @@ class SolverConfig:
     rel_tol: float = 3e-4
     max_step: float = 0.5
 
-    def validate(self) -> "SolverConfig":
+    def __post_init__(self):
         if not 0.0 < self.max_step <= 1.0:
             raise ValidationError(f"solver: max_step must be in (0, 1], got {self.max_step}")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValidationError("solver: tolerances must be positive")
-        return self
 
 
 @dataclass
@@ -74,13 +73,13 @@ def dopri5_step(rhs, z: np.ndarray, t: float, h: float, k1: np.ndarray | None = 
     if h <= 0:
         raise ValidationError(f"dopri5_step: step size must be positive, got {h}")
     ks = [k1 if k1 is not None else rhs(z, t)]
-    for s in range(1, 7):
-        acc = _A[s][0] * ks[0]
-        for j in range(1, s):
-            acc = acc + _A[s][j] * ks[j]
-        ks.append(rhs(z + h * acc, t + _C[s] * h))
-    for s, k in enumerate(ks):
-        if not np.all(np.isfinite(k)):
+    for s in range(7):
+        if s:
+            acc = _A[s][0] * ks[0]
+            for j in range(1, s):
+                acc = acc + _A[s][j] * ks[j]
+            ks.append(rhs(z + h * acc, t + _C[s] * h))
+        if not np.all(np.isfinite(ks[s])):
             raise NumericalError(f"dopri5_step: non-finite value in stage {s + 1} at t={t:.6g}")
     increment = _B5[0] * ks[0]
     err = _E[0] * ks[0]
@@ -103,7 +102,7 @@ def solve(rhs, z0: np.ndarray, cfg: SolverConfig | None = None):
     The final step is truncated to land exactly on t = 1. More than 20
     consecutive rejected steps raise NumericalError.
     """
-    cfg = (cfg or SolverConfig()).validate()
+    cfg = cfg or SolverConfig()
     z = np.asarray(z0, dtype=np.float64)
     stats = SolveStats()
     t = 0.0

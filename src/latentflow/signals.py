@@ -31,14 +31,13 @@ class MelConfig:
     mel_bands: int = 80
     fmax: float = 11025.0
 
-    def validate(self) -> "MelConfig":
+    def __post_init__(self):
         if self.fmax > self.sample_rate / 2:
             raise ValidationError(f"mel: fmax {self.fmax} exceeds Nyquist {self.sample_rate / 2}")
         if self.window_size > self.fft_size:
             raise ValidationError(f"mel: window {self.window_size} exceeds fft size {self.fft_size}")
         if self.hop_size <= 0 or self.window_size <= 0:
             raise ValidationError("mel: hop and window must be positive")
-        return self
 
     def frame_count(self, n_samples: int) -> int:
         if n_samples < self.window_size:
@@ -111,11 +110,9 @@ def stft_magnitude(y, cfg: MelConfig):
 
     A Tensor waveform gives a Tensor; a plain one gives an ndarray.
     """
-    cfg.validate()
     yv = ad.value(y)
     if yv.ndim != 1:
         raise ValidationError(f"stft: expected 1-D signal, got shape {yv.shape}")
-    cfg.frame_count(len(yv))  # raises for a signal shorter than the window
     frames = ad.frame_signal(y, cfg.window_size, cfg.hop_size)
     windowed = ad.mul(frames, periodic_hann(cfg.window_size)[None, :])
     return ad.transpose(ad.rfft_magnitude(windowed, cfg.fft_size), (1, 0))
@@ -159,7 +156,6 @@ def dsp_synthesize(
     is peak-normalized to 0.9. Any harmonic at or above the analysis fmax
     is rejected as aliasing.
     """
-    cfg.validate()
     f0_frames = np.asarray(f0_frames, dtype=np.float64)
     harmonic_amps = np.atleast_1d(np.asarray(harmonic_amps, dtype=np.float64))
     n_harm = len(harmonic_amps)
@@ -190,29 +186,28 @@ def dsp_synthesize(
     return y
 
 
-@dataclass
+@dataclass(frozen=True)
 class SingingSpec:
     """One synthetic utterance: a note sequence plus vibrato and timbre
     controls. Each note carries (midi pitch, duration in frames, token id)."""
 
-    notes: list  # [(midi, frames, token_id), ...]
+    notes: tuple  # ((midi, frames, token_id), ...); a list is stored as a tuple
     vibrato_rate_hz: float = 5.0
     vibrato_depth_cents: float = 60.0
     vibrato_phase: float = 0.0
     harmonic_amps: tuple = (1.0, 0.5, 0.25)
     noise_level: float = 0.01
 
-    def validate(self) -> "SingingSpec":
+    def __post_init__(self):
+        object.__setattr__(self, "notes", tuple(map(tuple, self.notes)))
         if self.vibrato_rate_hz < 0 or self.vibrato_depth_cents < 0:
             raise ValidationError("singing spec: vibrato rate/depth must be >= 0")
         if not self.notes or any(d < 1 for _, d, _ in self.notes):
             raise ValidationError("singing spec: need notes with durations >= 1 frame")
-        return self
 
 
 def singing_f0_contour(spec: SingingSpec, cfg: MelConfig) -> np.ndarray:
     """Per-frame f0 (Hz): note pitches modulated by sinusoidal vibrato."""
-    spec.validate()
     pitches = np.concatenate([np.full(d, midi_to_hz(m)) for m, d, _ in spec.notes])
     t_sec = np.arange(len(pitches)) * cfg.hop_size / cfg.sample_rate
     cents = spec.vibrato_depth_cents * np.sin(2.0 * np.pi * spec.vibrato_rate_hz * t_sec + spec.vibrato_phase)

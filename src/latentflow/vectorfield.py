@@ -42,7 +42,7 @@ def time_embedding_batch(ts: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(arg), np.cos(arg)], axis=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VectorFieldConfig:
     latent_channels: int = 8
     hidden: int = 32
@@ -50,10 +50,9 @@ class VectorFieldConfig:
     time_embed_dim: int = 16
     cond_channels: int = 4  # 0 = endpoint-only conditioning
 
-    def validate(self) -> "VectorFieldConfig":
+    def __post_init__(self):
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValidationError(f"vector field: dropout must be in [0, 1), got {self.dropout_p}")
-        return self
 
 
 class VelocityField:
@@ -64,7 +63,7 @@ class VelocityField:
     """
 
     def __init__(self, cfg: VectorFieldConfig, store: ad.ParamStore, rng: np.random.Generator):
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         self.store = store
         c, h = cfg.latent_channels, cfg.hidden
         cin = c + cfg.cond_channels

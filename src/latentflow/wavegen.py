@@ -23,7 +23,7 @@ def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
         f.writeframes(pcm.tobytes())
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecoderConfig:
     latent_channels: int = 8
     hidden: int = 16
@@ -32,7 +32,7 @@ class DecoderConfig:
     resblock_kernel: int = 3
     resblock_dilations: tuple = (1, 3)
 
-    def validate(self) -> "DecoderConfig":
+    def __post_init__(self):
         if len(self.upsample_rates) != len(self.upsample_kernels):
             raise ValidationError("decoder: one kernel per upsample rate required")
         for r, k in zip(self.upsample_rates, self.upsample_kernels):
@@ -40,7 +40,6 @@ class DecoderConfig:
                 raise ValidationError(f"decoder: kernel {k} smaller than rate {r}")
             if (k - r) % 2:
                 raise ValidationError(f"decoder: kernel {k} minus rate {r} must be even")
-        return self
 
     @property
     def hop(self) -> int:
@@ -57,7 +56,7 @@ class WaveDecoder:
     T * prod(upsample_rates) samples, bounded by a final tanh."""
 
     def __init__(self, cfg: DecoderConfig, store: ad.ParamStore, rng: np.random.Generator):
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         h = cfg.hidden
         cin = cfg.latent_channels + 1
         self.pre_w = store.create("dec.pre.w", rng.standard_normal((h, cin, 3)) / np.sqrt(3 * cin))
@@ -109,7 +108,7 @@ class WaveDecoder:
         return wave_out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscriminatorConfig:
     periods: tuple = (2, 3)
     scales: tuple = (1, 2)
@@ -117,12 +116,11 @@ class DiscriminatorConfig:
     stft_hops: tuple = (16, 32)
     channels: int = 8
 
-    def validate(self) -> "DiscriminatorConfig":
+    def __post_init__(self):
         if len(self.stft_sizes) != len(self.stft_hops):
             raise ValidationError("discriminators: one hop per stft size required")
         if not (self.periods or self.scales or self.stft_sizes):
             raise ValidationError("discriminators: empty suite")
-        return self
 
     @property
     def min_length(self) -> int:
@@ -148,8 +146,7 @@ class _ConvStack:
     def __call__(self, x):
         features = []
         for w, b, s, d in self.layers:
-            pad = (w.shape[2] - 1) * d // 2
-            x = ad.leaky_relu(ad.conv1d(x, w, b, stride=s, dilation=d, padding=pad))
+            x = ad.leaky_relu(ad.conv1d(x, w, b, stride=s, dilation=d))
             features.append(x)
         score = ad.conv1d(x, self.score_w, self.score_b)
         return score, features
@@ -160,8 +157,7 @@ class DiscriminatorSuite:
     score map and its ordered intermediate feature maps."""
 
     def __init__(self, cfg: DiscriminatorConfig, mel_cfg: MelConfig, store: ad.ParamStore, rng: np.random.Generator):
-        self.cfg = cfg.validate()
-        self.mel_cfg = mel_cfg
+        self.cfg = cfg
         ch = cfg.channels
         conv_specs = [(5, 3, 1), (5, 3, 1)]
         self.period_stacks = [
@@ -173,8 +169,12 @@ class DiscriminatorSuite:
         ]
         spec_specs = [(3, 1, 1), (3, 1, 2)]
         self.spec_stacks = [
-            _ConvStack(store, f"disc.spec{n}.", n // 2 + 1, ch, spec_specs, rng)
-            for n in cfg.stft_sizes
+            (
+                MelConfig(sample_rate=mel_cfg.sample_rate, fft_size=n, window_size=n, hop_size=hop, mel_bands=1,
+                          fmax=mel_cfg.sample_rate / 2),
+                _ConvStack(store, f"disc.spec{n}.", n // 2 + 1, ch, spec_specs, rng),
+            )
+            for n, hop in zip(cfg.stft_sizes, cfg.stft_hops)
         ]
 
     def discriminate(self, y):
@@ -205,13 +205,9 @@ class DiscriminatorSuite:
                 x = ad.conv1d(x, pool_w, stride=s, padding=0)
             score, feats = stack(x)
             out.append((f"scale{s}", score, feats))
-        for n, hop, stack in zip(self.cfg.stft_sizes, self.cfg.stft_hops, self.spec_stacks):
-            scfg = MelConfig(
-                sample_rate=self.mel_cfg.sample_rate, fft_size=n, window_size=n, hop_size=hop,
-                mel_bands=1, fmax=self.mel_cfg.sample_rate / 2,
-            )
+        for scfg, stack in self.spec_stacks:
             mag = stft_magnitude(y, scfg)
             x = ad.reshape(mag, (1,) + mag.shape)
             score, feats = stack(x)
-            out.append((f"spec{n}", score, feats))
+            out.append((f"spec{scfg.fft_size}", score, feats))
         return out

@@ -237,13 +237,6 @@ def test_oracle_flow_map_consistent_with_integration():
     np.testing.assert_allclose(z1, gaussian_flow_map(spec, z0, 1.0), atol=1e-4)
 
 
-def test_gaussian_spec_validation():
-    with pytest.raises(ValidationError):
-        GaussianTransportSpec(s=0.0).validate()
-    with pytest.raises(ValidationError):
-        gaussian_oracle_velocity(GaussianTransportSpec(s=-1.0), 0.5, np.zeros(2))
-
-
 def test_train_cfm_aborts_on_nan():
     field, store = _toy_field(3)
 

@@ -2,8 +2,9 @@
 module-level import in the package is used, every dataclass field is read,
 every public name has a caller outside the tests, every differentiable op
 has a finite-difference test, every raise is a ValidationError or a
-NumericalError, the imports match the declared dependencies, and every
-console script declared in pyproject.toml resolves to a callable."""
+NumericalError, every dataclass is checked when it is made and not at each
+use, the imports match the declared dependencies, and every console script
+declared in pyproject.toml resolves to a callable."""
 import ast
 import importlib
 import re
@@ -38,26 +39,30 @@ def test_package_has_no_unused_module_level_imports():
     assert unused == []
 
 
+def _dataclasses(tree: ast.AST) -> list[ast.ClassDef]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)]
+
+
 def _dataclass_fields(path: Path) -> list[tuple[str, str]]:
     fields = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.ClassDef) and any(
-            "dataclass" in ast.unparse(d) for d in node.decorator_list
-        ):
-            fields += [(node.name, s.target.id) for s in node.body
-                       if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    for node in _dataclasses(ast.parse(path.read_text(), filename=str(path))):
+        fields += [(node.name, s.target.id) for s in node.body
+                   if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
     return fields
 
 
-def _attribute_loads(tree: ast.AST, in_validate: bool = False) -> set[str]:
-    """Attribute names loaded anywhere in ``tree`` outside a ``validate`` method."""
-    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)) and tree.name == "validate":
-        in_validate = True
+def _attribute_loads(tree: ast.AST, in_check: bool = False) -> set[str]:
+    """Attribute names loaded anywhere in ``tree`` outside a ``validate`` or
+    ``__post_init__`` method, so a field that only its own check reads
+    counts as unread."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)) and tree.name in ("validate", "__post_init__"):
+        in_check = True
     loads = set()
-    if not in_validate and isinstance(tree, ast.Attribute) and isinstance(tree.ctx, ast.Load):
+    if not in_check and isinstance(tree, ast.Attribute) and isinstance(tree.ctx, ast.Load):
         loads.add(tree.attr)
     for child in ast.iter_child_nodes(tree):
-        loads |= _attribute_loads(child, in_validate)
+        loads |= _attribute_loads(child, in_check)
     return loads
 
 
@@ -67,6 +72,48 @@ def test_every_dataclass_field_is_read():
     fields = [f for path in sorted(PACKAGE.rglob("*.py")) for f in _dataclass_fields(path)]
     assert fields
     assert [f"{cls}.{name}" for cls, name in fields if name not in loads] == []
+
+
+def _validate_calls(tree: ast.AST) -> list[int]:
+    """Lines of the ``.validate`` calls in ``tree`` outside a ``__post_init__``."""
+    if isinstance(tree, ast.FunctionDef) and tree.name == "__post_init__":
+        return []
+    lines = [tree.lineno] if isinstance(tree, ast.Call) and getattr(tree.func, "attr", None) == "validate" else []
+    for child in ast.iter_child_nodes(tree):
+        lines += _validate_calls(child)
+    return lines
+
+
+def _post_init_raises(cls: ast.ClassDef) -> bool:
+    """Whether ``cls.__post_init__`` raises, itself or in a method of ``cls``
+    that it calls on ``self``."""
+    methods = {m.name: m for m in cls.body if isinstance(m, ast.FunctionDef)}
+    if "__post_init__" not in methods:
+        return False
+    reached = [methods["__post_init__"]] + [
+        methods[c.func.attr] for c in ast.walk(methods["__post_init__"])
+        if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+        and getattr(c.func.value, "id", None) == "self" and c.func.attr in methods
+    ]
+    return any(isinstance(n, ast.Raise) for m in reached for n in ast.walk(m))
+
+
+def _is_frozen(cls: ast.ClassDef) -> bool:
+    return any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+               for d in cls.decorator_list if isinstance(d, ast.Call) for k in d.keywords)
+
+
+def test_every_dataclass_is_checked_once_when_made():
+    """Nothing in the package calls ``.validate`` outside a ``__post_init__``,
+    and every dataclass whose ``__post_init__`` raises is frozen: an instance
+    that exists is valid and stays valid, so no caller checks it again."""
+    per_use, unfrozen = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        per_use += [f"{path.relative_to(ROOT)}:{line}" for line in _validate_calls(tree)]
+        unfrozen += [cls.name for cls in _dataclasses(tree) if _post_init_raises(cls) and not _is_frozen(cls)]
+    assert per_use == []
+    assert unfrozen == []
 
 
 def _loads(tree: ast.AST) -> Counter:

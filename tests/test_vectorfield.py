@@ -127,7 +127,3 @@ def test_conditioning_shape_checked():
     out = field(z, 0.5, cond=np.zeros((2, 6)))
     assert out.shape == (4, 6)
 
-
-def test_config_validation():
-    with pytest.raises(ValidationError):
-        VectorFieldConfig(dropout_p=1.0).validate()
