@@ -14,7 +14,7 @@ from .exceptions import ValidationError
 _NEG = -np.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoteBoundaryConstraint:
     """Per-token and per-frame note ids, checked once at construction.
 

@@ -314,7 +314,13 @@ def _dense_t(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _dense_w(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Adjoint of _dense in the weight: g[B, Cout, T] against the windows
-    [B, Cin*K, T] -> [Cout, Cin*K], one batched matmul summed over B."""
+    [B, Cin*K, T] -> [Cout, Cin*K]. With fewer frames than window rows
+    (T < Cin*K) B is folded into T for one matmul, which at T=1 replaces B
+    rank-1 products; otherwise one batched matmul is summed over B, which
+    reads long frame axes faster than the folded copy."""
+    B, CK, T = cols.shape
+    if T < CK:
+        return np.moveaxis(g, 0, 1).reshape(g.shape[1], B * T) @ np.moveaxis(cols, 0, 1).reshape(CK, B * T).T
     return (g @ cols.transpose(0, 2, 1)).sum(0)
 
 
@@ -369,6 +375,19 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
     out = _add_bias("conv1d", out, bias)
 
     def vjp_x(g):
+        if stride == 1:
+            # The forward convolution of g, padded to T + span frames with
+            # span - pad zeros on each side (or cut where pad > span), by the
+            # kernel flipped along K: gx[n] = sum_j w[:, :, K-1-j]^T gp[n + j*dilation].
+            e = span - pad
+            if e > 0:
+                gp = np.zeros((B, Co, T + span))
+                gp[:, :, e : e + t_out] = g
+            else:
+                gp = g[:, :, -e : t_out + e]
+            if depthwise:
+                return np.einsum("bcjt,cj->bct", _im2col(gp, K, dilation, 1, T), wv[:, 0, ::-1])
+            return _dense(_windows(gp, K, dilation, 1, T), wv[:, :, ::-1].transpose(1, 0, 2))
         gcols = wv[None, :, 0, :, None] * g[:, :, None, :] if depthwise else _dense_t(g, wv)
         gxp = _col2im(gcols, T + 2 * pad, dilation, stride)
         return gxp[:, :, pad : pad + T] if pad else gxp
@@ -400,10 +419,14 @@ def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor | np.ndarray:
     out_full = _col2im(_dense_t(xv, wv), full, 1, stride)
     out = _add_bias("conv_transpose1d", out_full[:, :, pad : pad + stride * T].copy(), bias)
 
+    windowed = [None, None]  # the last g and its windows, shared by both vjps of one sweep
+
     def gcols(g):
-        gfull = np.zeros((B, Co, full))
-        gfull[:, :, pad : pad + stride * T] = g
-        return _windows(gfull, K, 1, stride, T)
+        if windowed[0] is not g:
+            gfull = np.zeros((B, Co, full))
+            gfull[:, :, pad : pad + stride * T] = g
+            windowed[:] = g, _windows(gfull, K, 1, stride, T)
+        return windowed[1]
 
     return _make("conv_transpose1d", out, (x, lambda g: _dense(gcols(g), wv)),
                  (w, lambda g: _dense_w(xv, gcols(g)).reshape(wv.shape)), (bias, lambda g: g.sum(axis=(0, 2))))
@@ -420,7 +443,19 @@ def frame_signal(x, frame: int, hop: int) -> Tensor | np.ndarray:
         raise ValidationError(f"frame_signal: signal of {L} samples shorter than frame {frame}")
     n = 1 + (L - frame) // hop
     out = _im2col(xv, frame, 1, hop, n).T.copy()
-    return _make("frame_signal", out, (x, lambda g: _col2im(g.T, L, 1, hop)))
+
+    def vjp(g):
+        # Overlap-add in whole-hop blocks: block b adds g[:, b*hop : (b+1)*hop]
+        # to rows b..b+n-1 of the signal seen as [rows, hop]. Each sample gets
+        # its terms in the order of a per-sample loop, so the sum is the same.
+        blocks = -(-frame // hop)
+        gx = np.zeros((n + blocks, hop))
+        for b in range(blocks):
+            w = min(hop, frame - b * hop)
+            gx[b : b + n, :w] += g[:, b * hop : b * hop + w]
+        return gx.reshape(-1)[:L]
+
+    return _make("frame_signal", out, (x, vjp))
 
 
 _MAG_FLOOR = 1e-30  # keeps the magnitude differentiable at silent bins

@@ -16,7 +16,7 @@ _KERNEL = 5
 _LOG_VAR_MIN, _LOG_VAR_MAX = -14.0, 6.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreCondition:
     """Per-position score features: phoneme token, note pitch (MIDI), note
     duration in frames, and a note id for boundary constraints. Checked

@@ -110,9 +110,6 @@ def stft_magnitude(y, cfg: MelConfig):
 
     A Tensor waveform gives a Tensor; a plain one gives an ndarray.
     """
-    yv = ad.value(y)
-    if yv.ndim != 1:
-        raise ValidationError(f"stft: expected 1-D signal, got shape {yv.shape}")
     frames = ad.frame_signal(y, cfg.window_size, cfg.hop_size)
     windowed = ad.mul(frames, periodic_hann(cfg.window_size)[None, :])
     return ad.transpose(ad.rfft_magnitude(windowed, cfg.fft_size), (1, 0))

@@ -174,6 +174,21 @@ def test_leaky_relu_vjp_is_bit_identical_to_the_select_form():
     assert np.array_equal(gx, np.where(xv > 0, g, 0.1 * g))
 
 
+@pytest.mark.parametrize("frame,hop", [(16, 16), (64, 16), (128, 32), (5, 2), (3, 7), (10, 3)])
+def test_frame_signal_vjp_is_bit_identical_to_the_per_sample_loop(frame, hop):
+    rng = np.random.default_rng([frame, hop])
+    x = ad.Tensor(rng.standard_normal(301))
+    n = 1 + (301 - frame) // hop
+    g = rng.standard_normal((n, frame)) * 10.0 ** rng.integers(-8, 8, size=(n, frame))
+    with ad.Tape() as tape:
+        loss = ad.total(ad.mul(ad.frame_signal(x, frame, hop), g))
+    (gx,) = ad.grad(loss, [x], tape)
+    expected = np.zeros(301)
+    for k in range(frame):
+        expected[k : k + hop * n : hop] += g[:, k]
+    assert np.array_equal(gx, expected)
+
+
 @pytest.mark.parametrize("cin,cout,k,stride", [(3, 2, 4, 2), (16, 8, 8, 4), (2, 5, 3, 1), (1, 1, 5, 3)])
 def test_conv_transpose1d_is_the_adjoint_of_strided_conv1d(cin, cout, k, stride):
     rng = np.random.default_rng(cin * 100 + k)
@@ -222,12 +237,11 @@ def test_conv1d_matches_direct_sum(depthwise, kernel, dilation, stride, padding)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
-def _conv1d_adjoint_case(depthwise, kernel, dilation, stride, padding):
-    """A conv1d of the direct-sum grid with B=2, and the index triples
-    (weight, input, output) of its defining sum."""
+def _conv1d_adjoint_case(depthwise, kernel, dilation, stride, padding, B=2, T=11):
+    """A conv1d of the direct-sum grid with B=2 and T=11 unless given, and
+    the index triples (weight, input, output) of its defining sum."""
     rng = np.random.default_rng([kernel, dilation, stride, 1])
     cin, cout = (3, 3) if depthwise else (3, 4)
-    B, T = 2, 11
     x = rng.standard_normal((B, cin, T))
     w = rng.standard_normal((cout, 1 if depthwise else cin, kernel))
     pad = (kernel - 1) * dilation // 2 if padding is None else padding
@@ -268,6 +282,14 @@ CONV_ADJOINT_CASES = [
     pytest.param(_conv1d_adjoint_case, (dw, k, d, s, p), id=f"conv1d-{'depthwise' if dw else 'dense'}-k{k}-d{d}-s{s}-p{p}")
     for dw in (False, True) for k in (1, 3) for d in (1, 3) for s in (1, 2) for p in (None, 2)
 ] + [
+    pytest.param(_conv1d_adjoint_case, (dw, k, d, s, p, B, T),
+                 id=f"conv1d-{'depthwise' if dw else 'dense'}-k{k}-d{d}-s{s}-p{p}-B{B}-T{T}")
+    for dw in (False, True) for k, d, s, p, B, T in [
+        (5, 2, 1, None, 2, 11), (5, 2, 1, 2, 2, 11), (5, 2, 2, None, 2, 11), (5, 2, 2, 2, 2, 11),
+        (3, 9, 1, None, 128, 1),  # the CFM fixture's shape: many batch items of one frame
+        (5, 2, 1, None, 2, 3), (5, 2, 1, 3, 2, 3),  # fewer frames than the kernel's span of 8
+    ]
+] + [
     pytest.param(_conv_transpose1d_adjoint_case, shape, id="conv_transpose1d-{}-{}-{}-{}".format(*shape))
     for shape in [(3, 2, 4, 2), (16, 8, 8, 4), (2, 5, 3, 1), (1, 1, 5, 3)]
 ]
@@ -293,22 +315,53 @@ def test_conv_vjps_match_direct_adjoint(make_case, args):
 @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, None), (4, 2, 1), (1, 1, None)])
 def test_dense_conv1d_copies_its_windows_once(monkeypatch, kernel, stride, padding):
     """The weight vjp contracts the very contiguous window buffer the forward
-    built, the window adjoint is contiguous, and a pointwise conv copies nothing."""
+    built, every window buffer and window adjoint is contiguous, and a
+    pointwise conv copies nothing. At stride 1 the input vjp is the forward's
+    lowering run on g, so it windows g once and forms no window adjoint."""
     rng = np.random.default_rng(kernel)
     x = ad.Tensor(rng.standard_normal((2, 3, 10)))
     w = ad.Tensor(rng.standard_normal((4, 3, kernel)))
-    seen = {}
-    dense, dense_t, dense_w = ops._dense, ops._dense_t, ops._dense_w
-    monkeypatch.setattr(ops, "_dense", lambda cols, wv: seen.update(dense=cols) or dense(cols, wv))
+    seen = {"dense": [], "windows": []}
+    dense, dense_t, dense_w, windows = ops._dense, ops._dense_t, ops._dense_w, ops._windows
+    monkeypatch.setattr(ops, "_dense", lambda cols, wv: seen["dense"].append(cols) or dense(cols, wv))
     monkeypatch.setattr(ops, "_dense_w", lambda g, cols: seen.update(dense_w=cols) or dense_w(g, cols))
     monkeypatch.setattr(ops, "_dense_t", lambda g, wv: seen.setdefault("dense_t", dense_t(g, wv)))
+
+    def record_windows(xp, *args):
+        seen["windows"].append((xp, windows(xp, *args)))
+        return seen["windows"][-1][1]
+
+    monkeypatch.setattr(ops, "_windows", record_windows)
     with ad.Tape() as tape:
         loss = ad.total(ad.square(ad.conv1d(x, w, stride=stride, padding=padding)))
     ad.grad(loss, [x, w], tape)
-    assert seen["dense_w"] is seen["dense"]
-    assert seen["dense"].flags.c_contiguous
-    assert seen["dense_t"].flags.c_contiguous
-    assert np.shares_memory(seen["dense"], x.data) == (kernel == 1)
+    forward, *backward = seen["dense"]
+    assert seen["dense_w"] is forward
+    assert all(cols.flags.c_contiguous for cols in seen["dense"])
+    assert np.shares_memory(forward, x.data) == (kernel == 1)
+    assert all(np.shares_memory(cols, xp) == (kernel == 1) for xp, cols in seen["windows"])
+    if stride == 1:
+        assert len(backward) == 1 and len(seen["windows"]) == 2 and "dense_t" not in seen
+    else:
+        assert backward == [] and len(seen["windows"]) == 1 and seen["dense_t"].flags.c_contiguous
+
+
+def test_conv_transpose1d_windows_g_once_for_both_gradients(monkeypatch):
+    """A sweep over both x and w pads and windows the output gradient once,
+    and gives the gradients of two sweeps taken one at a time."""
+    rng = np.random.default_rng(29)
+    x = ad.Tensor(rng.standard_normal((2, 3, 7)))
+    w = ad.Tensor(rng.standard_normal((3, 2, 4)))
+    y = rng.standard_normal((2, 2, 14))
+    with ad.Tape() as tape:
+        loss = ad.total(ad.mul(ad.conv_transpose1d(x, w, stride=2), y))
+    calls = []
+    windows = ops._windows
+    monkeypatch.setattr(ops, "_windows", lambda *a: calls.append(a[0].shape) or windows(*a))
+    gx, gw = ad.grad(loss, [x, w], tape)
+    assert calls == [(2, 2, 16)]
+    (gx_alone,), (gw_alone,) = ad.grad(loss, [x], tape), ad.grad(loss, [w], tape)
+    assert np.array_equal(gx, gx_alone) and np.array_equal(gw, gw_alone)
 
 
 @pytest.mark.parametrize("cin,cout,groups", [(4, 4, 2), (3, 6, 3)])

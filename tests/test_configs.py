@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+from latentflow.alignment import NoteBoundaryConstraint
 from latentflow.cvae import LatentConfig, ScoreCondition
 from latentflow.exceptions import ValidationError
 from latentflow.flowmatch import GaussianTransportSpec
@@ -50,3 +51,15 @@ def test_containers_are_copied_so_a_caller_cannot_change_them_after_the_check():
     assert sc.tokens.tolist() == [1, 2] and spec.notes == ((60, 4, 1),)
     for a in (sc.tokens, sc.note_pitch, sc.note_duration, sc.note_id):
         assert a.dtype == np.int64 and not a.flags.writeable
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ScoreCondition([1, 2], [60, 61], [2, 2], [0, 0]),
+    lambda: NoteBoundaryConstraint([0, 1], [0, 0, 1]),
+], ids=["ScoreCondition", "NoteBoundaryConstraint"])
+def test_array_holding_records_compare_by_identity_and_hash(make):
+    """Equal-valued records with multi-element arrays are distinct: == is
+    identity, not numpy's ambiguous elementwise truth, and hash() works."""
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
