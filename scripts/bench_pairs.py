@@ -12,11 +12,21 @@ on both sides alike.
 For every metric of the result line it reports each side's median and
 quartiles, the parent's spread between quartiles (IQR), and in how many
 pairs the change read better, by the direction ``BENCHMARK.json`` gives the
-metric; ties count for neither side. That is what a speed claim needs: the
-change wins at least nine pairs in ten, and the medians differ by more than
-the parent's IQR. ``quality_err`` is also listed per seed, and failed
-operations against attempted ones. Every run's values are kept under
-``runs``. The summary is printed and, with ``--out``, written as JSON.
+metric; ties count for neither side. Each such metric gets ``claim_met``,
+what a speed claim needs: at least ten pairs, the change better in at least
+nine in ten, and the medians apart by more than the parent's IQR in the
+change's favour. Each end-to-end metric with a ``bound`` (a fraction of the
+parent's median) gets a ``status``:
+
+- ``unresolved`` when the parent's IQR is wider than the bound, unless every
+  run of the change reads better than every run of the parent;
+- else ``worse beyond bound`` when the change's median is worse than the
+  parent's by more than the bound;
+- else ``within bound``.
+
+``quality_err`` is also listed per seed, and failed operations against
+attempted ones. Every run's values are kept under ``runs``. The summary is
+printed and, with ``--out``, written as JSON.
 
 Uses the standard library only, so it runs with any Python 3.8+.
 """
@@ -44,10 +54,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"], "metrics": values}
 
 
-def directions(checkout: Path) -> dict:
-    """Metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+def directions(checkout: Path) -> tuple[dict, dict]:
+    """From the checkout's BENCHMARK.json: metric name -> "lower" or
+    "higher", and end-to-end metric name -> its bound."""
     bench = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in bench.get(key, [])}
+    better = {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in bench.get(key, [])}
+    bounds = {m["name"]: m["bound"] for m in bench.get("end_to_end", []) if "bound" in m}
+    return better, bounds
 
 
 def quartiles(xs: list) -> dict:
@@ -57,8 +70,24 @@ def quartiles(xs: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict, better: dict) -> dict:
-    """Per-metric quartiles of each side, the parent's IQR and pairs won."""
+def verdict(b: list, a: list, sign: float, bound: float) -> str:
+    """Status of the change's runs ``a`` against the parent's ``b`` for a
+    bound that is a fraction of the parent's median; sign is 1.0 where lower
+    is better and -1.0 where higher is."""
+    before = quartiles(b)
+    allowed = bound * abs(before["median"])
+    if max(sign * y for y in a) < min(sign * x for x in b):
+        return "within bound"
+    if before["q3"] - before["q1"] > allowed:
+        return "unresolved"
+    if sign * (quartiles(a)["median"] - before["median"]) > allowed:
+        return "worse beyond bound"
+    return "within bound"
+
+
+def summarize(runs: dict, better: dict, bounds: dict | None = None) -> dict:
+    """Per-metric quartiles of each side, the parent's IQR, pairs won,
+    whether a claim is met and, for a metric with a bound, its status."""
     before, after = runs["before"], runs["after"]
     names = [k for k in before[0]["metrics"] if all(k in r["metrics"] for r in before + after)]
     out = {"repeats": len(before), "seeds": [r["seed"] for r in before], "metrics": {}}
@@ -72,6 +101,11 @@ def summarize(runs: dict, better: dict) -> dict:
             entry["better"] = better[name]
             entry["after_better_in_pairs"] = sum(sign * (y - x) < 0 for x, y in zip(b, a))
             entry["after_worse_in_pairs"] = sum(sign * (y - x) > 0 for x, y in zip(b, a))
+            entry["claim_met"] = (len(b) >= 10 and entry["after_better_in_pairs"] >= 0.9 * len(b)
+                                  and sign * (entry["before"]["median"] - entry["after"]["median"]) > entry["parent_iqr"])
+            if bounds and name in bounds:
+                entry["bound"] = bounds[name]
+                entry["status"] = verdict(b, a, sign, bounds[name])
         out["metrics"][name] = entry
     for side in SIDES:
         rs = runs[side]
@@ -104,9 +138,11 @@ def main(argv=None) -> int:
                   f"p50 {r['metrics'].get('latency_ms_p50', float('nan')):.3f} ms", file=sys.stderr, flush=True)
 
     summary = {"workload": args.workload, "seconds": args.seconds, "trace": args.trace,
-               **summarize(runs, directions(checkouts["before"]))}
+               **summarize(runs, *directions(checkouts["before"]))}
     for name, m in summary["metrics"].items():
-        won = f"  better in {m['after_better_in_pairs']}/{summary['repeats']}" if "better" in m else ""
+        won = (f"  better in {m['after_better_in_pairs']}/{summary['repeats']}"
+               f"  claim met: {'yes' if m['claim_met'] else 'no'}") if "better" in m else ""
+        won += f"  {m['status']} ({m['bound']:g})" if "status" in m else ""
         print(f"{name:40s} before {m['before']['median']:.6g} [{m['before']['q1']:.6g}, {m['before']['q3']:.6g}]"
               f"  after {m['after']['median']:.6g} [{m['after']['q1']:.6g}, {m['after']['q3']:.6g}]"
               f"  parent IQR {m['parent_iqr']:.3g}{won}")

@@ -3,10 +3,14 @@
 Conventions:
   - Operands may be Tensors, ndarrays, or Python scalars. Non-Tensor
     operands, and an optional bias left as None, are constants.
-  - Each op hands ``_make`` one ``(operand, vjp)`` edge per operand; vjp
-    maps the output gradient to that operand's gradient, one array of its
-    shape. ``_make`` keeps only edges whose operand is a Tensor, so no vjp
-    ever runs for a constant.
+  - Each op reads its operands with ``value``, which hands a float64
+    ndarray back as it is, and hands ``_make`` (tensor.py) its output and
+    one ``(operand, vjp)`` edge per operand; vjp maps the output gradient
+    to that operand's gradient, one array of its shape. ``_make`` keeps
+    only edges whose operand is a Tensor, so no vjp ever runs for a
+    constant. Every op pays these two calls, so both stay short: with
+    debug checks off ``_make`` tests the flag once and wraps the output
+    without converting it.
   - An op with no Tensor operand returns a plain ndarray (a numpy scalar
     when 0-d) and records nothing, even inside an active Tape; only an op
     with a Tensor operand returns a Tensor.
@@ -22,21 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ValidationError
-from .tensor import Node, Tensor, _active_tape, _check_finite, value
-
-
-def _make(op: str, out_data: np.ndarray, *edges) -> Tensor | np.ndarray:
-    _check_finite(op, out_data)
-    for operand, _ in edges:  # a loop, not a comprehension: it runs on every op, traced or not
-        if isinstance(operand, Tensor):
-            break
-    else:
-        return out_data
-    out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None:
-        tape.nodes.append(Node(op, out, [e for e in edges if isinstance(e[0], Tensor)]))
-    return out
+from .tensor import Tensor, _make, value
 
 
 def _binary_vals(op: str, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -46,6 +36,8 @@ def _binary_vals(op: str, a, b) -> tuple[np.ndarray, np.ndarray]:
     constants may broadcast up to it.
     """
     av, bv = value(a), value(b)
+    if av.shape == bv.shape:
+        return av, bv
     try:
         out_shape = np.broadcast_shapes(av.shape, bv.shape)
     except ValueError:
@@ -131,14 +123,17 @@ def absolute(x) -> Tensor | np.ndarray:
 
 
 def clamp(x, lo: float | None = None, hi: float | None = None) -> Tensor | np.ndarray:
+    """x clipped to [lo, hi], a bound of None leaving its side open; the
+    gradient passes where x lies strictly inside the bounds given."""
     xv = value(x)
     out = np.clip(xv, lo, hi)
-    pass_mask = np.ones_like(xv, dtype=bool)
-    if lo is not None:
-        pass_mask &= xv > lo
-    if hi is not None:
-        pass_mask &= xv < hi
-    return _make("clamp", out, (x, lambda g: np.where(pass_mask, g, 0.0)))
+    if lo is None:
+        inside = True if hi is None else xv < hi
+    else:
+        inside = xv > lo if hi is None else (xv > lo) & (xv < hi)
+    # g where inside, else 0, as a product: np.where's values up to the sign
+    # of a zero, without its slow select
+    return _make("clamp", out, (x, lambda g: g * inside))
 
 
 def dropout(x, p: float, rng: np.random.Generator | None = None, training: bool = False) -> Tensor | np.ndarray:
@@ -270,14 +265,18 @@ def _same_pad(kernel: int, dilation: int) -> int:
 
 def _im2col(xp: np.ndarray, kernel: int, dilation: int, stride: int, t_out: int) -> np.ndarray:
     """Strided read-only view [..., kernel, t_out] of the windows of xp[..., T]:
-    window t, tap j reads xp[..., t*stride + j*dilation]."""
+    window t, tap j reads xp[..., t*stride + j*dilation]. A C-contiguous xp
+    is viewed through the ndarray constructor, which checks that the windows
+    lie inside its buffer and is several times cheaper than ``as_strided``;
+    any other xp, such as a slice, goes through ``as_strided``."""
     *lead, st = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=xp.shape[:-1] + (kernel, t_out),
-        strides=(*lead, st * dilation, st * stride),
-        writeable=False,
-    )
+    shape = xp.shape[:-1] + (kernel, t_out)
+    strides = (*lead, st * dilation, st * stride)
+    if not xp.flags.c_contiguous:
+        return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides, writeable=False)
+    view = np.ndarray(shape, xp.dtype, xp, 0, strides)
+    view.flags.writeable = False
+    return view
 
 
 def _col2im(cols: np.ndarray, length: int, dilation: int, stride: int) -> np.ndarray:
@@ -294,7 +293,10 @@ def _windows(xp: np.ndarray, kernel: int, dilation: int, stride: int, t_out: int
     """The windows of xp[B, C, T] as one C-contiguous [B, C*kernel, t_out]
     array, row c*kernel + j holding tap j of channel c. _im2col's view is
     copied once here, so every contraction on it reads contiguous memory; for
-    kernel 1 and stride 1 the view already is contiguous and nothing is copied."""
+    kernel 1 and stride 1 a contiguous xp of t_out frames is its own window
+    array and is returned as it is."""
+    if kernel == 1 and stride == 1 and xp.shape[-1] == t_out and xp.flags.c_contiguous:
+        return xp
     B, C = xp.shape[:2]
     return np.ascontiguousarray(_im2col(xp, kernel, dilation, stride, t_out)).reshape(B, C * kernel, t_out)
 

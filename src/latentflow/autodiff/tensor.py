@@ -35,7 +35,7 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = value(data)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -86,10 +86,6 @@ class Tape:
         return len(self.nodes)
 
 
-def _active_tape() -> Tape | None:
-    return _TAPES[-1] if _TAPES else None
-
-
 class no_grad:
     """Context that suspends recording (inference mode)."""
 
@@ -101,16 +97,35 @@ class no_grad:
         _TAPES.pop()
 
 
+_F64 = np.dtype(np.float64)
+
+
 def value(x) -> np.ndarray:
-    """The float64 array behind a Tensor, ndarray or scalar."""
+    """The float64 array behind a Tensor, ndarray or scalar; a float64
+    ndarray is returned as it is."""
     if isinstance(x, Tensor):
         return x.data
+    if type(x) is np.ndarray and x.dtype is _F64:
+        return x
     return np.asarray(x, dtype=np.float64)
 
 
-def _check_finite(op: str, arr: np.ndarray) -> None:
-    if _DEBUG_CHECKS and not np.all(np.isfinite(arr)):
+def _make(op: str, out_data: np.ndarray, *edges) -> Tensor | np.ndarray:
+    """The result of primitive ``op``: ``out_data`` itself when no operand
+    is a Tensor, else a Tensor around it, recorded on the active tape with
+    the edges whose operand is a Tensor. It runs on every op, so with debug
+    checks off it costs one flag test."""
+    if _DEBUG_CHECKS and not np.all(np.isfinite(out_data)):
         raise NumericalError(f"{op}: non-finite values produced (debug evaluation mode)")
+    for operand, _ in edges:
+        if isinstance(operand, Tensor):
+            break
+    else:
+        return out_data
+    out = Tensor(out_data)
+    if _TAPES and _TAPES[-1] is not None:
+        _TAPES[-1].nodes.append(Node(op, out, [e for e in edges if isinstance(e[0], Tensor)]))
+    return out
 
 
 def grad(loss: Tensor | np.ndarray, wrt: Iterable[Tensor], tape: Tape) -> list[np.ndarray]:

@@ -11,7 +11,8 @@ import numpy as np
 
 from .exceptions import NumericalError, ValidationError
 
-# Dormand & Prince (1980) 7-stage 5(4) pair, FSAL.
+# Dormand & Prince (1980) 7-stage 5(4) pair, FSAL: the last stage's weights
+# are the 5th-order solution's, so its argument is the step's result.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     np.array([]),
@@ -22,7 +23,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b5 - b4: weights of the embedded error estimate
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 # step-size control: the factor _SAFETY * err^(-1/5), clamped to [_MIN_FACTOR, _MAX_FACTOR]
@@ -69,27 +69,27 @@ def dopri5_step(rhs, z: np.ndarray, t: float, h: float, k1: np.ndarray | None = 
 
     ``k1`` may be the previous step's last stage (FSAL reuse). The error
     estimate is the difference between the 5th- and 4th-order solutions.
+    The stages are the rows of one [7, *z.shape] array, and each stage's
+    argument, the error estimate and z5 are one product of their weights
+    with the rows before them; z5 is the last stage's argument.
     """
     if h <= 0:
         raise ValidationError(f"dopri5_step: step size must be positive, got {h}")
-    ks = [k1 if k1 is not None else rhs(z, t)]
+    ks = np.empty((7,) + z.shape)
+    rows = ks.reshape(7, -1)
+    z_flat = z.reshape(-1)
+    ks[0] = rhs(z, t) if k1 is None else k1
     for s in range(7):
         if s:
-            acc = _A[s][0] * ks[0]
-            for j in range(1, s):
-                acc = acc + _A[s][j] * ks[j]
-            ks.append(rhs(z + h * acc, t + _C[s] * h))
+            arg = _A[s] @ rows[:s]
+            arg *= h
+            arg += z_flat
+            ks[s] = rhs(arg.reshape(z.shape), t + _C[s] * h)
         if not np.all(np.isfinite(ks[s])):
             raise NumericalError(f"dopri5_step: non-finite value in stage {s + 1} at t={t:.6g}")
-    increment = _B5[0] * ks[0]
-    err = _E[0] * ks[0]
-    for s in range(1, 7):
-        if _B5[s] != 0.0:
-            increment = increment + _B5[s] * ks[s]
-        if _E[s] != 0.0:
-            err = err + _E[s] * ks[s]
-    z5 = z + h * increment
-    return z5, h * err, ks
+    err = _E @ rows
+    err *= h
+    return arg.reshape(z.shape), err.reshape(z.shape), ks
 
 
 def solve(rhs, z0: np.ndarray, cfg: SolverConfig | None = None):
@@ -117,8 +117,11 @@ def solve(rhs, z0: np.ndarray, cfg: SolverConfig | None = None):
             stats.rhs_evals += 1
         z_new, err_vec, ks = dopri5_step(rhs, z, t, h, k1=k1)
         stats.rhs_evals += 6
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z), np.abs(z_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        scale = np.maximum(np.abs(z), np.abs(z_new))
+        scale *= cfg.rel_tol
+        scale += cfg.abs_tol
+        err_vec /= scale
+        err = float(np.sqrt(np.mean(np.square(err_vec, out=err_vec))))
         if err <= 1.0:
             t = 1.0 if 1.0 - (t + h) < 1e-12 else t + h
             z = z_new

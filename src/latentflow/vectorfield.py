@@ -33,13 +33,19 @@ def time_frequencies(dim: int) -> np.ndarray:
 
 def time_embedding_batch(ts: np.ndarray, dim: int) -> np.ndarray:
     """[B, dim] rows [sin(t*w_k), cos(t*w_k)] for geometrically spaced w_k,
-    one per t in ``ts`` (a scalar counts as one); every t lies in [0, 1]."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    if ts.min() < 0.0 or ts.max() > 1.0:
+    one per t in ``ts`` (a scalar counts as one); every t lies in [0, 1].
+    Runs on every field call, so the range is checked on a list, where a
+    NaN fails it too, and both halves are written into one array."""
+    ts = np.asarray(ts, dtype=np.float64).reshape(-1)
+    if not all(0.0 <= t <= 1.0 for t in ts.tolist()):
         raise ValidationError("time embedding: all t values must lie in [0, 1]")
     w = time_frequencies(dim)
-    arg = ts[:, None] * w[None, :]
-    return np.concatenate([np.sin(arg), np.cos(arg)], axis=1)
+    n = w.size
+    out = np.empty((ts.size, dim))
+    arg = np.multiply(ts[:, None], w, out=out[:, n:])
+    np.sin(arg, out=out[:, :n])
+    np.cos(arg, out=arg)
+    return out
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,7 @@ class VelocityField:
         else:
             x = z
 
-        te = time_embedding_batch(np.full(B, t) if np.ndim(t) == 0 else t, cfg.time_embed_dim)
+        te = time_embedding_batch(t if B == 1 or np.ndim(t) else np.full(B, t), cfg.time_embed_dim)
         if te.shape[0] != B:
             raise ValidationError(f"vector field: {te.shape[0]} time values for batch {B}")
 

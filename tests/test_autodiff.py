@@ -543,3 +543,49 @@ def test_state_dict_roundtrip_keeps_references_valid():
     w.data[...] = 0.0
     store.load_state_dict(snap)
     np.testing.assert_array_equal(w.data, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("kernel,dilation,stride", [(3, 2, 1), (5, 1, 2), (1, 1, 1)])
+def test_im2col_views_are_read_only_and_match_as_strided(kernel, dilation, stride):
+    """The window view of a C-contiguous base (built by the ndarray
+    constructor) and of a non-contiguous one (built by as_strided) are
+    read-only and hold the very elements as_strided reads."""
+    base = np.random.default_rng(kernel).standard_normal((2, 3, 40))
+    for xp in (base, base[:, :, 3:31], base[:, ::2, :]):
+        t_out = (xp.shape[-1] - (kernel - 1) * dilation - 1) // stride + 1
+        view = ops._im2col(xp, kernel, dilation, stride, t_out)
+        *lead, st = xp.strides
+        expected = np.lib.stride_tricks.as_strided(
+            xp, shape=xp.shape[:-1] + (kernel, t_out), strides=(*lead, st * dilation, st * stride))
+        assert not view.flags.writeable and np.shares_memory(view, base)
+        assert view.shape == expected.shape and np.array_equal(view, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            view[..., 0, 0] = 0.0
+
+
+def test_value_returns_a_float64_ndarray_as_it_is_and_converts_the_rest():
+    x = np.arange(6.0).reshape(2, 3)
+    assert ad.value(x) is x and ad.value(ad.Tensor(x)) is x
+    for other in (3, 2.5, np.arange(4, dtype=np.float32), [1, 2, 3], np.arange(3)):
+        v = ad.value(other)
+        assert type(v) is np.ndarray and v.dtype == np.float64
+        np.testing.assert_array_equal(v, np.asarray(other, dtype=np.float64))
+
+
+@pytest.mark.parametrize("lo,hi", [(-0.5, 0.5), (-0.5, None), (None, 0.5)])
+def test_clamp_vjp_equals_the_select_form(lo, hi):
+    """The product VJP gives np.where's values (+0 and -0 compare equal),
+    at, below and above each bound given."""
+    x = np.array([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, -0.5000001, 0.4999999])
+    g = np.array([1.5, -2.0, 3.0, -4.0, 0.5, 6.0, -7.0, 8.0, -9.0])
+    xt = ad.Tensor(x)
+    with ad.Tape() as tape:
+        loss = ad.total(ad.mul(ad.clamp(xt, lo, hi), g))
+    (gx,) = ad.grad(loss, [xt], tape)
+    inside = np.ones_like(x, dtype=bool)
+    if lo is not None:
+        inside &= x > lo
+    if hi is not None:
+        inside &= x < hi
+    assert np.array_equal(gx, np.where(inside, g, 0.0))
+    np.testing.assert_array_equal(ad.clamp(xt, lo, hi).data, np.clip(x, lo, hi))

@@ -62,3 +62,50 @@ def test_main_alternates_which_side_runs_first(bench_pairs, monkeypatch, tmp_pat
     assert bench_pairs.main(argv) == 0
     assert calls == [("parent", 21), ("change", 21), ("change", 22), ("parent", 22), ("parent", 23), ("change", 23)]
     assert json.loads(out.read_text())["metrics"]["m"]["after_better_in_pairs"] == 3
+
+
+# ten parent runs with median 100 and IQR 2 (quartiles 99 and 101)
+PARENT = [97.0, 98.0, 99.0, 99.0, 100.0, 100.0, 101.0, 101.0, 102.0, 103.0]
+
+
+@pytest.mark.parametrize("better, before, after, status", [
+    ("lower", PARENT, [x * 1.05 for x in PARENT], "within bound"),  # 5% worse, bound 10%
+    ("lower", PARENT, [x * 1.2 for x in PARENT], "worse beyond bound"),
+    ("higher", PARENT, [x * 0.8 for x in PARENT], "worse beyond bound"),
+    ("higher", PARENT, [x * 1.2 for x in PARENT], "within bound"),
+    # parent IQR 30 against an allowed 10: unresolved, whichever way the medians go
+    ("lower", [70.0, 85.0, 100.0, 115.0, 130.0], [60.0, 75.0, 90.0, 105.0, 120.0], "unresolved"),
+    ("lower", [70.0, 85.0, 100.0, 115.0, 130.0], [80.0, 95.0, 110.0, 125.0, 140.0], "unresolved"),
+    # unless every change run beats every parent run
+    ("lower", [70.0, 85.0, 100.0, 115.0, 130.0], [50.0, 55.0, 60.0, 65.0, 69.0], "within bound"),
+    ("higher", [70.0, 85.0, 100.0, 115.0, 130.0], [131.0, 140.0, 150.0, 160.0, 170.0], "within bound"),
+])
+def test_status_reads_the_bound_as_a_share_of_the_parent_median(bench_pairs, better, before, after, status):
+    entry = bench_pairs.summarize(_runs("m", before, after), {"m": better}, {"m": 0.1})["metrics"]["m"]
+    assert (entry["status"], entry["bound"]) == (status, 0.1)
+
+
+@pytest.mark.parametrize("after, met", [
+    ([x - 5.0 for x in PARENT], True),  # 10 of 10 won, medians 5 apart against an IQR of 2
+    ([x - 5.0 for x in PARENT[:9]] + [104.0], True),  # 9 of 10 won
+    ([x - 5.0 for x in PARENT[:8]] + [102.0, 104.0], False),  # 8 of 10 won
+    ([x - 1.5 for x in PARENT], False),  # 10 of 10 won, but medians 1.5 apart: inside the IQR
+])
+def test_claim_needs_nine_in_ten_pairs_and_a_median_gap_beyond_the_parent_iqr(bench_pairs, after, met):
+    entry = bench_pairs.summarize(_runs("m", PARENT, after), {"m": "lower"})["metrics"]["m"]
+    assert entry["claim_met"] is met and "status" not in entry  # no bound, no status
+
+
+def test_claim_needs_ten_pairs(bench_pairs):
+    entry = bench_pairs.summarize(_runs("m", PARENT[:9], [x - 5.0 for x in PARENT[:9]]), {"m": "lower"})["metrics"]["m"]
+    assert entry["after_better_in_pairs"] == 9 and entry["claim_met"] is False
+
+
+def test_directions_reads_bounds_of_end_to_end_metrics_only(bench_pairs, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [{"name": "p50", "better": "lower", "bound": 0.24}, {"name": "rate", "better": "higher"}],
+        "per_layer": [{"name": "layer.ms", "better": "lower", "bound": 0.5}],
+    }))
+    better, bounds = bench_pairs.directions(tmp_path)
+    assert better == {"p50": "lower", "rate": "higher", "layer.ms": "lower"}
+    assert bounds == {"p50": 0.24}

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from latentflow.exceptions import NumericalError
 from latentflow.flowmatch import GaussianTransportSpec, gaussian_oracle_velocity
-from latentflow.odesolver import SolverConfig, dopri5_step, solve
+from latentflow.odesolver import _A, _C, _E, SolverConfig, dopri5_step, solve
 
 # The tolerances and step cap that the bounds of the accuracy tests below
 # were set for; they are tighter than the defaults.
@@ -149,3 +149,45 @@ def test_solve_linear_system_matches_matrix_exponential(system):
     z1, _ = solve(lambda z, t: a @ z, z0, cfg=FINE)
     exact = expm(a) @ z0
     np.testing.assert_array_less(np.abs(z1 - exact), 1e-5 * (1.0 + np.abs(exact)))
+
+
+def _dopri5_step_per_stage(rhs, z, t, h, k1=None):
+    """The reference step: each stage's argument, the 5th-order increment
+    and the error estimate summed one weighted stage at a time."""
+    b5 = np.append(_A[6], 0.0)
+    ks = [k1 if k1 is not None else rhs(z, t)]
+    for s in range(1, 7):
+        acc = _A[s][0] * ks[0]
+        for j in range(1, s):
+            acc = acc + _A[s][j] * ks[j]
+        ks.append(rhs(z + h * acc, t + _C[s] * h))
+    increment, err = b5[0] * ks[0], _E[0] * ks[0]
+    for s in range(1, 7):
+        increment = increment + b5[s] * ks[s]
+        err = err + _E[s] * ks[s]
+    return z + h * increment, h * err, ks
+
+
+@pytest.mark.parametrize("with_k1", [False, True])
+def test_stacked_step_matches_the_per_stage_loop(with_k1):
+    """Only the summation order differs, so z5, the error estimate and every
+    stage agree with the per-stage loop to 1e-14 relative to the terms
+    summed: elementwise |z| + h * sum |b5_s k_s| for z5, h * sum |e_s k_s|
+    for the error estimate, whose terms cancel to about 1e-6 of their size
+    here, and the largest |k| for each stage."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 6))
+    z, t, h = rng.standard_normal((6, 5)), 0.3, 0.17
+
+    def rhs(z, t):
+        return np.tanh(a @ z) * (1.0 + t)
+
+    k1 = rhs(z, t) + 0.5 if with_k1 else None  # a k1 unlike rhs(z, t) shows it is used
+    z5, err, ks = dopri5_step(rhs, z, t, h, k1=k1)
+    z5_ref, err_ref, ks_ref = _dopri5_step_per_stage(rhs, z, t, h, k1=k1)
+    assert len(ks) == 7 and z5.shape == err.shape == z.shape
+    size = np.abs(np.asarray(ks_ref))
+    for got, ref, scale in ((z5, z5_ref, np.abs(z) + h * np.tensordot(np.abs(_A[6]), size[:6], 1)),
+                            (err, err_ref, h * np.tensordot(np.abs(_E), size, 1)),
+                            *((k, k_ref, np.abs(k_ref).max()) for k, k_ref in zip(ks, ks_ref))):
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)

@@ -4,7 +4,7 @@ import pytest
 from latentflow import autodiff as ad
 from latentflow.exceptions import ValidationError
 from latentflow.odesolver import solve
-from latentflow.vectorfield import VectorFieldConfig, VelocityField, time_embedding_batch
+from latentflow.vectorfield import VectorFieldConfig, VelocityField, time_embedding_batch, time_frequencies
 
 
 def make_field(seed=0, **kw):
@@ -127,3 +127,35 @@ def test_conditioning_shape_checked():
     out = field(z, 0.5, cond=np.zeros((2, 6)))
     assert out.shape == (4, 6)
 
+
+
+def test_forward_under_no_grad_is_bit_identical_to_the_taped_forward():
+    """Recording changes no arithmetic: the same forward, with a scalar t
+    shared by the batch and with one t per element, gives the same bits
+    under no_grad as inside a Tape, where it records every op."""
+    field, store, _ = make_field(cond_channels=2)
+    rng = np.random.default_rng(4)
+    for name in store.names():
+        store[name].data[...] = rng.standard_normal(store[name].shape) * 0.2
+    z, cond = rng.standard_normal((3, 4, 20)), rng.standard_normal((3, 2, 20))
+    for t in (0.7, np.array([0.0, 0.4, 1.0])):
+        with ad.no_grad():
+            plain = field(z, t, cond=cond)
+        with ad.Tape() as tape:
+            taped = field(ad.Tensor(z), t, cond=cond)
+        assert len(tape) > 0 and np.array_equal(plain.data, taped.data)
+
+
+def test_time_embedding_equals_the_concatenated_sin_cos():
+    """Writing both halves into one array gives the bits of concatenating
+    sin(t w) and cos(t w), for a scalar and for a vector of times."""
+    w = time_frequencies(16)
+    for ts in (0.37, np.linspace(0.0, 1.0, 33)):
+        arg = np.atleast_1d(ts)[:, None] * w[None, :]
+        assert np.array_equal(time_embedding_batch(ts, 16), np.concatenate([np.sin(arg), np.cos(arg)], axis=1))
+
+
+@pytest.mark.parametrize("ts", [np.nan, np.array([0.5, np.nan]), np.array([np.nan, 2.0]), np.array([0.5, np.nan, 2.0])])
+def test_time_embedding_rejects_nan_wherever_it_sits(ts):
+    with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+        time_embedding_batch(ts, 8)
