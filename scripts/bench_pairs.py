@@ -1,11 +1,11 @@
 """Paired benchmark runs of a parent checkout against a changed checkout.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --workload train \
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --workload train [synth eval] \
         --seeds 21 22 23 24 25 26 27 28 29 31 --seconds 34 [--trace 0] [--out FILE]
 
-For each seed, runs the unmodified ``perfbench/run.py`` of each checkout
-once, one after the other, in a fresh process with that checkout as the
-working directory. The side that runs first alternates from pair to pair
+Each named workload runs in turn, with every seed. For each seed, runs
+the unmodified ``perfbench/run.py`` of each checkout once, one after the
+other, in a fresh process with that checkout as the working directory. The side that runs first alternates from pair to pair
 (the parent first in the first pair), so a drift in the host's load falls
 on both sides alike.
 
@@ -25,8 +25,9 @@ parent's median) gets a ``status``:
 - else ``within bound``.
 
 ``quality_err`` is also listed per seed, and failed operations against
-attempted ones. Every run's values are kept under ``runs``. The summary is
-printed and, with ``--out``, written as JSON.
+attempted ones. Every run's values are kept under ``runs``. The summary of
+each workload is printed, and with ``--out`` all of them are written as one
+JSON object whose ``workloads`` maps each name to its summary.
 
 Uses the standard library only, so it runs with any Python 3.8+.
 """
@@ -116,29 +117,21 @@ def summarize(runs: dict, better: dict, bounds: dict | None = None) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--workload", required=True, choices=["train", "synth", "eval"])
-    ap.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
-    ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    ap.add_argument("--out", type=Path, help="write the summary here as JSON")
-    args = ap.parse_args(argv)
-
-    checkouts = {"before": args.parent.resolve(), "after": args.change.resolve()}
+def pairs(checkouts: dict, workload: str, seeds: list, seconds: float, trace: int) -> dict:
+    """One run per side and seed; the side that runs first alternates."""
     runs = {side: [] for side in SIDES}
-    for i, seed in enumerate(args.seeds):
+    for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            r = run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
+            r = run_once(checkouts[side], workload, seed, seconds, trace)
             runs[side].append(r)
-            print(f"pair {i + 1}/{len(args.seeds)} seed {seed} {side}: "
+            print(f"{workload} pair {i + 1}/{len(seeds)} seed {seed} {side}: "
                   f"p50 {r['metrics'].get('latency_ms_p50', float('nan')):.3f} ms", file=sys.stderr, flush=True)
+    return runs
 
-    summary = {"workload": args.workload, "seconds": args.seconds, "trace": args.trace,
-               **summarize(runs, *directions(checkouts["before"]))}
+
+def report(workload: str, summary: dict) -> None:
+    print(f"== {workload}")
     for name, m in summary["metrics"].items():
         won = (f"  better in {m['after_better_in_pairs']}/{summary['repeats']}"
                f"  claim met: {'yes' if m['claim_met'] else 'no'}") if "better" in m else ""
@@ -147,8 +140,29 @@ def main(argv=None) -> int:
               f"  after {m['after']['median']:.6g} [{m['after']['q1']:.6g}, {m['after']['q3']:.6g}]"
               f"  parent IQR {m['parent_iqr']:.3g}{won}")
     print(f"failed/attempted: {summary['failed_of_attempted']}")
-    if args.out:
-        args.out.write_text(json.dumps(summary, indent=1) + "\n")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--workload", nargs="+", required=True, choices=["train", "synth", "eval"],
+                    help="one or more workloads, run in turn")
+    ap.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
+    ap.add_argument("--out", type=Path, help="write the summaries here as JSON")
+    args = ap.parse_args(argv)
+
+    checkouts = {"before": args.parent.resolve(), "after": args.change.resolve()}
+    directed = directions(checkouts["before"])
+    out = {"seconds": args.seconds, "trace": args.trace, "workloads": {}}
+    for workload in dict.fromkeys(args.workload):  # each name once, in the order given
+        runs = pairs(checkouts, workload, args.seeds, args.seconds, args.trace)
+        out["workloads"][workload] = summarize(runs, *directed)
+        report(workload, out["workloads"][workload])
+        if args.out:  # written after each workload, so a finished one is kept
+            args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
 

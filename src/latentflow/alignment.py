@@ -79,7 +79,7 @@ def _check_instance(ll: np.ndarray, nb: NoteBoundaryConstraint):
     ll = np.asarray(ll, dtype=np.float64)
     if ll.ndim != 2:
         raise ValidationError(f"alignment: log-likelihood matrix must be 2-D, got shape {ll.shape}")
-    if not np.all(np.isfinite(ll)):
+    if not np.isfinite(ll).all():
         raise ValidationError("alignment: log-likelihood matrix must be finite")
     n, t = ll.shape
     if len(nb.token_note_id) != n or len(nb.frame_note_id) != t:
@@ -94,14 +94,15 @@ def path_score(ll: np.ndarray, durations: np.ndarray):
     """Sum of covered cells, accumulated in frame order from 0.0 (the same
     association the DP uses, so scores compare exactly).
 
-    ``durations`` is one path [N] or a stack of paths [C, N], each summing
-    to the frame count; the result is a float or one score per path.
+    ``durations`` is an int array, one path [N] or a stack of paths [C, N],
+    each summing to the frame count; the result is a float or one score per
+    path. Array methods rather than numpy functions keep the per-call cost
+    low for the small instances the brute-force oracle scores.
     """
-    ends = np.cumsum(durations, axis=-1)
     frames = np.arange(ll.shape[1])
-    cells = ll[(ends[..., :, None] <= frames).sum(axis=-2), frames]
+    cells = ll[(durations.cumsum(-1)[..., :, None] <= frames).sum(-2), frames]
     cells[..., 0] += 0.0  # the first step is ll + 0.0, which turns -0.0 into 0.0
-    return np.cumsum(cells, axis=-1)[..., -1]
+    return cells.cumsum(-1)[..., -1]
 
 
 def mas_align(ll, nb: NoteBoundaryConstraint) -> tuple[AlignmentPath, float]:
@@ -110,29 +111,44 @@ def mas_align(ll, nb: NoteBoundaryConstraint) -> tuple[AlignmentPath, float]:
     DP over Q[i, j] = ll[i, j] + max(Q[i, j-1], Q[i-1, j-1]), one frame
     column at a time over the tokens the constraint allows at frame j; every
     other cell stays -inf. Exact ties prefer staying on the current token,
-    which backtracks to the path whose boundaries fall earliest.
+    which backtracks to the path whose boundaries fall earliest. A column
+    holds a few cells (the tokens of one note), so the loop runs on Python
+    floats.
     """
     ll = _check_instance(ll, nb)
     n, t = ll.shape
-    # q[j, i + 1] holds Q[i, j]; q[:, 0] stays -inf, so token 0 needs no
-    # branch for its missing move predecessor.
-    q = np.full((t, n + 1), _NEG)
-    stay = np.zeros((t, n + 1), dtype=bool)  # chose Q[i, j-1] at (i, j)
-    q[0, 1] = ll[0, 0]
-    for j, lo, hi in zip(range(1, t), nb.frame_token_lo[1:].tolist(), nb.frame_token_hi[1:].tolist()):
-        from_stay, from_move = q[j - 1, lo + 1:hi + 1], q[j - 1, lo:hi]
-        took_stay = from_stay >= from_move
-        stay[j, lo + 1:hi + 1] = took_stay
-        q[j, lo + 1:hi + 1] = ll[lo:hi, j] + np.where(took_stay, from_stay, from_move)
-    if q[t - 1, n] == _NEG:
+    cols = ll.T.tolist()
+    # q[i + 1] holds Q[i, j], updated in place from column j-1 to column j;
+    # q[0] stays -inf, so token 0 needs no branch for its missing move
+    # predecessor.
+    q = [_NEG] * (n + 1)
+    q[1] = cols[0][0]
+    stays = []  # per frame j >= 1: (lo, whether token lo + k chose Q[i, j-1])
+    prev_lo = 0
+    for col, lo, hi in zip(cols[1:], nb.frame_token_lo[1:].tolist(), nb.frame_token_hi[1:].tolist()):
+        took = [False] * (hi - lo)
+        # from the last token down, so both predecessors still hold column j-1
+        for i in range(hi - 1, lo - 1, -1):
+            from_stay, from_move = q[i + 1], q[i]
+            if from_stay >= from_move:
+                q[i + 1] = col[i] + from_stay
+                took[i - lo] = True
+            else:
+                q[i + 1] = col[i] + from_move
+        if lo != prev_lo:  # tokens the window has left are -inf from column j on
+            q[prev_lo + 1:lo + 1] = [_NEG] * (lo - prev_lo)
+            prev_lo = lo
+        stays.append((lo, took))
+    if q[n] == _NEG:
         raise ValidationError("alignment: no feasible monotonic path")
-    durations = np.zeros(n, dtype=np.int64)
+    durations = [0] * n
     i = n - 1
-    for j in range(t - 1, -1, -1):
+    for lo, took in reversed(stays):
         durations[i] += 1
-        if j > 0 and not stay[j, i + 1]:
+        if not took[i - lo]:
             i -= 1
-    return AlignmentPath(durations), float(q[t - 1, n])
+    durations[i] += 1
+    return AlignmentPath(durations), q[n]
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:

@@ -11,16 +11,20 @@ _BETA1, _BETA2, _EPS = 0.8, 0.99, 1e-8
 
 
 class ParamStore:
-    """Uniquely named parameter tensors plus optimizer moment buffers.
+    """Uniquely named parameter tensors plus Adam's moments.
 
     Shapes are fixed at creation; loading a state dict writes into the
-    existing arrays so live network references stay valid.
+    existing arrays so live network references stay valid. Each parameter
+    stays its own array. The two moments are one flat buffer each, holding
+    the parameters raveled one after another in ``names()`` order; a
+    parameter created after a step gets zero moments appended at its
+    first step.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = np.zeros(0)
+        self._v = np.zeros(0)
         self.step_count = 0
 
     def create(self, name: str, data) -> Tensor:
@@ -66,24 +70,46 @@ def backward(loss: Tensor | np.ndarray, store: ParamStore, tape: Tape) -> dict[s
 
 def adam_step(store: ParamStore, grads: dict[str, np.ndarray], lr: float = 2e-4) -> None:
     """Standard Adam update with bias correction over all params, with
-    beta1 0.8, beta2 0.99 and eps 1e-8."""
+    beta1 0.8, beta2 0.99 and eps 1e-8.
+
+    The gradients are concatenated in ``names()`` order into one flat
+    buffer, the update runs as whole-buffer in-place ops on it and on the
+    flat moments, and each parameter then subtracts its view of the flat
+    step. Adam is elementwise, so each element sees the arithmetic of a
+    per-parameter update, in the same order.
+    """
+    names = store.names()
+    params = []
+    for name in names:
+        if name not in grads:
+            raise ValidationError(f"adam_step: missing gradient for parameter {name!r} (detached graph?)")
+        p = store[name].data
+        if grads[name].size != p.size:
+            raise ValidationError(f"adam_step: gradient for parameter {name!r} has {grads[name].size} values, not {p.size}")
+        params.append(p)
+    g = np.concatenate([grads[n] for n in names], axis=None)
     store.step_count += 1
     t = store.step_count
     c1 = 1.0 - _BETA1**t
     c2 = 1.0 - _BETA2**t
-    for name in store.names():
-        if name not in grads:
-            raise ValidationError(f"adam_step: missing gradient for parameter {name!r} (detached graph?)")
-        g = grads[name]
-        p = store[name]
-        m = store._m.get(name)
-        if m is None:
-            m = store._m[name] = np.zeros_like(p.data)
-        v = store._v.get(name)
-        if v is None:
-            v = store._v[name] = np.zeros_like(p.data)
-        m *= _BETA1
-        m += (1.0 - _BETA1) * g
-        v *= _BETA2
-        v += (1.0 - _BETA2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
+    new = g.size - store._m.size  # parameters created since the last step
+    if new:
+        store._m = np.concatenate([store._m, np.zeros(new)])
+        store._v = np.concatenate([store._v, np.zeros(new)])
+    m, v = store._m, store._v
+    m *= _BETA1
+    m += (1.0 - _BETA1) * g
+    v *= _BETA2
+    g *= g
+    g *= 1.0 - _BETA2
+    v += g
+    step = np.divide(m, c1, out=g)
+    step *= lr
+    den = v / c2
+    np.sqrt(den, out=den)
+    den += _EPS
+    step /= den
+    start = 0
+    for p in params:
+        p -= step[start:start + p.size].reshape(p.shape)
+        start += p.size

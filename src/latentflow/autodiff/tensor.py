@@ -5,7 +5,10 @@ with a Tensor operand appends one ``Node`` holding the op's name, its
 output and one ``(operand, vjp)`` edge per Tensor operand, where vjp maps
 the output's gradient to that operand's. Nodes are appended in execution
 order, so the list is topologically sorted by construction; ``grad`` marks
-what depends on ``wrt`` in one forward pass, then runs one reverse sweep.
+what depends on ``wrt`` in one forward pass, then runs one reverse sweep
+that drops each intermediate gradient as soon as its vjps have run, so it
+holds only the gradients still to be used. ``grad`` reads the tape and
+never changes it, so one tape may be swept more than once.
 
 Constants are ndarrays and Python scalars. An op with no Tensor operand
 returns a plain ndarray (a numpy scalar when 0-d) and records nothing, even
@@ -134,20 +137,27 @@ def grad(loss: Tensor | np.ndarray, wrt: Iterable[Tensor], tape: Tape) -> list[n
     Returns one gradient array per tensor in ``wrt``; tensors unreachable
     from the loss get zeros of their shape. Only edges whose operand depends
     on ``wrt`` run their vjp, so no gradient is formed for a constant or for
-    a tensor outside ``wrt``'s reach.
+    a tensor outside ``wrt``'s reach. A node's output gradient is dropped
+    once its vjps have run (no later node in the sweep reads it), unless
+    that output is in ``wrt``, so the sweep holds only the live gradients.
+    The tape is left intact: ``grad`` may run again on it.
     """
     if value(loss).shape != ():
         raise ValidationError(f"backward: loss must be scalar, got shape {value(loss).shape}")
     wrt = list(wrt)
-    marked = {id(w) for w in wrt}
+    keep = {id(w) for w in wrt}
+    marked = set(keep)
     for node in tape.nodes:
-        if any(id(operand) in marked for operand, _ in node.edges):
-            marked.add(id(node.out))
+        for operand, _ in node.edges:
+            if id(operand) in marked:
+                marked.add(id(node.out))
+                break
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
     for node in reversed(tape.nodes):
-        if id(node.out) not in grads:
+        key = id(node.out)
+        if key not in grads:
             continue
-        g_out = grads[id(node.out)]
+        g_out = grads[key] if key in keep else grads.pop(key)
         for operand, vjp in node.edges:
             if id(operand) in marked:
                 g = vjp(g_out)

@@ -5,7 +5,7 @@ arbitrary callable rhs(z, t) -> dz/dt evaluated in inference mode.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,10 +58,13 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
+    """Counts of one solve, and the range of its accepted step sizes."""
+
     accepted: int = 0
     rejected: int = 0
     rhs_evals: int = 0
-    step_sizes: list = field(default_factory=list)
+    h_min: float = float("inf")  # smallest accepted step
+    h_max: float = 0.0  # largest accepted step
 
 
 def dopri5_step(rhs, z: np.ndarray, t: float, h: float, k1: np.ndarray | None = None):
@@ -129,7 +132,8 @@ def solve(rhs, z0: np.ndarray, cfg: SolverConfig | None = None):
                 raise NumericalError(f"solve: NaN in state after accepted step; last accepted t={t:.6g}")
             k1 = ks[6]  # FSAL: last stage is rhs at (t_new, z_new)
             stats.accepted += 1
-            stats.step_sizes.append(h)
+            stats.h_min = min(stats.h_min, h)
+            stats.h_max = max(stats.h_max, h)
             rejected_run = 0
         else:
             stats.rejected += 1

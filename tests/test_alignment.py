@@ -194,6 +194,29 @@ def test_mas_align_equals_brute_force_property(instance):
     np.testing.assert_array_equal(p_dp.durations, p_bf.durations)
 
 
+def _corpus_instance(rng, frames):
+    """A note-constrained instance shaped like the corpus: notes of 1-3
+    tokens, each note at least as long as its tokens, ``frames`` in all."""
+    tok = rng.integers(1, 4, size=max(1, frames // 25))
+    frm = tok + rng.multinomial(frames - tok.sum(), np.full(len(tok), 1.0 / len(tok)))
+    nb = NoteBoundaryConstraint(np.repeat(np.arange(len(tok)), tok), np.repeat(np.arange(len(tok)), frm))
+    return rng.standard_normal((tok.sum(), frames)) * 10.0 ** rng.integers(-2, 4), nb
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mas_score_is_the_path_score_at_corpus_scale(seed):
+    """Beyond the brute-force guard: the DP's score is the exact frame-order
+    sum of its own path, and the path obeys the note constraint."""
+    rng = np.random.default_rng(100 + seed)
+    for frames in (80, 81, 250, 369, 518, 650):
+        ll, nb = _corpus_instance(rng, frames)
+        path, score = mas_align(ll, nb)
+        assert type(score) is float and score == path_score(ll, path.durations)
+        assert path.durations.sum() == frames and np.all(path.durations >= 1)
+        token_of_frame = np.repeat(np.arange(len(path.durations)), path.durations)
+        assert np.array_equal(nb.token_note_id[token_of_frame], nb.frame_note_id)
+
+
 def test_brute_force_guard():
     with pytest.raises(ValidationError, match="guard"):
         brute_force_align(np.zeros((7, 14)), single(7, 14))

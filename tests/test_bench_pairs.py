@@ -40,7 +40,10 @@ def test_parent_iqr_is_the_spread_of_inclusive_quartiles(bench_pairs):
     assert "after_better_in_pairs" not in entry  # no direction, no pair count
 
 
-def test_main_alternates_which_side_runs_first(bench_pairs, monkeypatch, tmp_path):
+@pytest.fixture
+def fake_runs(bench_pairs, monkeypatch, tmp_path):
+    """Two checkouts and a run_once that records (checkout, workload, seed)
+    and starts no process; the change reads m 1.0 and the parent 2.0."""
     parent, change = tmp_path / "parent", tmp_path / "change"
     for d in (parent, change):
         d.mkdir()
@@ -48,7 +51,7 @@ def test_main_alternates_which_side_runs_first(bench_pairs, monkeypatch, tmp_pat
     calls = []
 
     def run_once(checkout, workload, seed, seconds, trace):
-        calls.append((checkout.name, seed))
+        calls.append((checkout.name, workload, seed))
         return {"seed": seed, "failed": 0, "attempted": 1, "metrics": {"m": 1.0 if checkout == change else 2.0}}
 
     def no_subprocess(*args, **kwargs):
@@ -56,12 +59,33 @@ def test_main_alternates_which_side_runs_first(bench_pairs, monkeypatch, tmp_pat
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs.subprocess, "run", no_subprocess)
+    return ["--parent", str(parent), "--change", str(change)], calls
+
+
+def test_main_alternates_which_side_runs_first(bench_pairs, fake_runs, tmp_path):
+    checkouts, calls = fake_runs
     out = tmp_path / "summary.json"
-    argv = ["--parent", str(parent), "--change", str(change), "--workload", "train",
-            "--seeds", "21", "22", "23", "--seconds", "1", "--out", str(out)]
+    argv = checkouts + ["--workload", "train", "--seeds", "21", "22", "23", "--seconds", "1", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
-    assert calls == [("parent", 21), ("change", 21), ("change", 22), ("parent", 22), ("parent", 23), ("change", 23)]
-    assert json.loads(out.read_text())["metrics"]["m"]["after_better_in_pairs"] == 3
+    assert [(c, s) for c, _, s in calls] == [
+        ("parent", 21), ("change", 21), ("change", 22), ("parent", 22), ("parent", 23), ("change", 23)]
+    assert json.loads(out.read_text())["workloads"]["train"]["metrics"]["m"]["after_better_in_pairs"] == 3
+
+
+def test_main_runs_each_workload_in_turn_and_keys_the_summary_by_workload(bench_pairs, fake_runs, tmp_path):
+    checkouts, calls = fake_runs
+    out = tmp_path / "summary.json"
+    argv = checkouts + ["--workload", "train", "synth", "eval", "train", "--seeds", "21", "22",
+                        "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    # every pair of one workload before the next; a repeated name runs once
+    assert [w for _, w, _ in calls] == ["train"] * 4 + ["synth"] * 4 + ["eval"] * 4
+    assert [c for c, w, _ in calls if w == "eval"] == ["parent", "change", "change", "parent"]
+    summary = json.loads(out.read_text())
+    assert (summary["seconds"], summary["trace"]) == (1.0, 0)
+    assert list(summary["workloads"]) == ["train", "synth", "eval"]
+    for w in summary["workloads"].values():
+        assert w["seeds"] == [21, 22] and w["metrics"]["m"]["after_better_in_pairs"] == 2
 
 
 # ten parent runs with median 100 and IQR 2 (quartiles 99 and 101)

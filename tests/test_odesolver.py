@@ -61,6 +61,9 @@ def test_accepted_steps_at_least_interval_over_max_step():
     for rhs in (lambda z, t: np.zeros_like(z), lambda z, t: -z, lambda z, t: np.sin(10 * t) * z):
         _, stats = solve(rhs, np.array(1.0), cfg=SolverConfig(max_step=0.1))
         assert stats.accepted >= 10
+        # the mean accepted step lies in the reported range, under the cap;
+        # the last step, 1 - t, may pass the cap by t's rounding
+        assert 0 < stats.h_min <= 1.0 / stats.accepted <= stats.h_max <= 0.1 + 1e-12
 
 
 def test_halving_tolerances_never_increases_error():
@@ -128,7 +131,9 @@ def test_solve_gives_up_after_20_consecutive_rejections():
 
 def test_final_step_lands_exactly_on_t1():
     _, stats = solve(lambda z, t: -z, np.array(1.0), cfg=SolverConfig(max_step=0.3))
-    assert sum(stats.step_sizes) == pytest.approx(1.0, abs=1e-12)
+    # three full steps, then the last one truncated to what is left of [0, 1]
+    assert stats.accepted == 4 and stats.h_max == 0.3
+    assert 3 * stats.h_max + stats.h_min == pytest.approx(1.0, abs=1e-12)
 
 
 @st.composite
