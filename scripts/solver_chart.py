@@ -1,18 +1,25 @@
 """Solver error against cost for the synth workload's dopri5 refinement.
 
-    python3 scripts/solver_chart.py --seeds 1 2 3 4 5 6 [--ops 40] [--reference 1e-7]
+    python3 scripts/solver_chart.py --seeds 1 2 3 4 5 6 [--ops 40] [--reference 1e-7] \
+        [--omega-hi 1000 500] [--fit-seeds 0 1 2]
 
-For each seed, builds the benchmark's synth state (corpus, prior and the
-velocity field fitted to the Gaussian transport oracle) and refines the
-prior samples of the first ``--ops`` utterances with dopri5 at each
-``(tolerance, max_step)`` setting, the tolerance used both absolute and
-relative. For each seed and setting it prints the mean number of
-velocity-field calls per solve (NFE) and the W1 of the refined latents to
-the oracle flow map: the synth workload's ``quality_err`` when ``--ops`` is
-the workload's ``min_ops``. That W1 is the fit error of the field plus the
-solver error. ``--reference TOL`` also solves every utterance at TOL and
-prints each setting's W1 to that solve, the solver error alone. A 1e-7
-solve takes about 2,400 NFE per utterance.
+For each seed, builds the benchmark's synth inputs (corpus and prior) and
+refines the prior samples of the first ``--ops`` utterances with dopri5 at
+each ``(tolerance, max_step)`` setting, the tolerance used both absolute and
+relative, through a velocity field fitted to the Gaussian transport oracle
+by ``workloads.fit_field(fit_seed)``. ``--fit-seeds`` names those fits (the
+benchmark's own is ``workloads.MODEL_SEED``). ``--omega-hi`` charts each
+given top frequency of the field's time embedding in turn: it sets
+``vectorfield._OMEGA_HI`` and refits; without it the package's value stays.
+
+For each top frequency, fit seed, seed and setting it prints the mean
+number of velocity-field calls per solve (NFE), the mean number of rejected
+steps per solve, and the W1 of the refined latents to the oracle flow map:
+the synth workload's ``quality_err`` when ``--ops`` is the workload's
+``min_ops`` and the fit seed is ``MODEL_SEED``. That W1 is the fit error of
+the field plus the solver error. ``--reference TOL`` also solves every
+utterance at TOL and prints each setting's W1 to that solve, the solver
+error alone. A 1e-7 solve takes 1,000 to 2,500 NFE per utterance.
 
 BLAS runs on one thread, as in the benchmark. Each line of output is one
 JSON object.
@@ -24,6 +31,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 for _k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_k] = "1"
@@ -35,17 +43,19 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 from latentflow import autodiff as ad  # noqa: E402
-from latentflow import cvae, flowmatch, odesolver  # noqa: E402
+from latentflow import cvae, flowmatch, odesolver, vectorfield  # noqa: E402
 
-# (tolerance, max_step): the defaults before the chart, then the candidates
-# around the chosen default (3e-4, 0.5).
-SETTINGS = [(1e-5, 0.1), (3e-4, 0.5), (4e-4, 0.5), (5e-4, 0.5), (3e-4, 1.0), (2e-4, 1.0), (1e-3, 1.0)]
+# (tolerance, max_step): the default before this chart, then the chosen
+# default (5e-4, 0.5) and its neighbours.
+SETTINGS = [(3e-4, 0.5), (5e-4, 0.5), (4e-4, 0.5), (6e-4, 0.5), (5e-4, 0.4), (5e-4, 0.6)]
 
 
-def prior_samples(seed: int, n: int):
-    """The synth state of ``seed`` and the prior samples its first ``n``
-    operations refine, drawn exactly as ``workloads.Synth.op`` draws them."""
-    st = workloads.Synth().setup(seed)
+def prior_samples(seed: int, n: int) -> list[np.ndarray]:
+    """The prior samples that the first ``n`` operations of the synth
+    workload at ``seed`` refine, drawn exactly as ``workloads.Synth.op``
+    draws them. The chart fits its own fields, so the set-up's is skipped."""
+    with mock.patch.object(workloads, "fit_field", lambda fit_seed: (None, [])):
+        st = workloads.Synth().setup(seed)
     zs = []
     for i in range(n):
         utt = st.utts[i % len(st.utts)]
@@ -53,18 +63,30 @@ def prior_samples(seed: int, n: int):
         with ad.no_grad():
             out = st.prior(utt.cond, durations=utt.durations)
             zs.append(cvae.sample_reparam(out.frame_gaussian, rng).data)
-    return st, zs
+    return zs
+
+
+def fit(omega_hi: float | None, fit_seed: int):
+    """``workloads.fit_field(fit_seed)`` with the time embedding's top
+    frequency at ``omega_hi``, which stays set for the field's later calls."""
+    if omega_hi is not None:
+        vectorfield._OMEGA_HI = omega_hi
+        vectorfield.time_frequencies.cache_clear()
+    field, _ = workloads.fit_field(fit_seed)
+    return field
 
 
 def refine(field, zs, tol: float, max_step: float):
+    """The refined latents, and the mean NFE and rejected steps per solve."""
     cfg = odesolver.SolverConfig(abs_tol=tol, rel_tol=tol, max_step=max_step)
-    out, nfe = [], []
+    out, nfe, rejected = [], [], []
     with ad.no_grad():
         for z_p in zs:
             z, stats = odesolver.solve(lambda z, t: field(z, t).data, z_p, cfg=cfg)
             out.append(z)
             nfe.append(stats.rhs_evals)
-    return out, float(np.mean(nfe))
+            rejected.append(stats.rejected)
+    return out, float(np.mean(nfe)), float(np.mean(rejected))
 
 
 def pooled_w1(a, b) -> float:
@@ -78,21 +100,32 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--ops", type=int, default=workloads.Synth.min_ops)
     ap.add_argument("--reference", type=float, default=None, help="tolerance of the reference solve")
+    ap.add_argument("--omega-hi", type=float, nargs="+", default=[None],
+                    help="top angular frequencies of the time embedding to chart")
+    ap.add_argument("--fit-seeds", type=int, nargs="+", default=[workloads.MODEL_SEED])
     args = ap.parse_args(argv)
+    inputs = {}  # seed -> (prior samples, their oracle flow map)
     for seed in args.seeds:
-        st, zs = prior_samples(seed, args.ops)
-        exact = [flowmatch.gaussian_flow_map(workloads.FIT_SPEC, z, 1.0) for z in zs]
-        ref = None
-        if args.reference is not None:
-            ref, ref_nfe = refine(st.field, zs, args.reference, 1.0)
-            print(json.dumps({"seed": seed, "tol": args.reference, "max_step": 1.0, "nfe": ref_nfe,
-                              "w1_oracle": pooled_w1(ref, exact), "reference": True}), flush=True)
-        for tol, max_step in SETTINGS:
-            z1, nfe = refine(st.field, zs, tol, max_step)
-            row = {"seed": seed, "tol": tol, "max_step": max_step, "nfe": nfe, "w1_oracle": pooled_w1(z1, exact)}
-            if ref is not None:
-                row["w1_reference"] = pooled_w1(z1, ref)
-            print(json.dumps(row), flush=True)
+        zs = prior_samples(seed, args.ops)
+        inputs[seed] = zs, [flowmatch.gaussian_flow_map(workloads.FIT_SPEC, z, 1.0) for z in zs]
+    for omega_hi in args.omega_hi:
+        for fit_seed in args.fit_seeds:
+            field = fit(omega_hi, fit_seed)
+            head = {"omega_hi": vectorfield._OMEGA_HI, "fit_seed": fit_seed}
+            for seed, (zs, exact) in inputs.items():
+                ref = None
+                if args.reference is not None:
+                    ref, nfe, rejected = refine(field, zs, args.reference, 1.0)
+                    print(json.dumps({**head, "seed": seed, "tol": args.reference, "max_step": 1.0, "nfe": nfe,
+                                      "rejected": rejected, "w1_oracle": pooled_w1(ref, exact),
+                                      "reference": True}), flush=True)
+                for tol, max_step in SETTINGS:
+                    z1, nfe, rejected = refine(field, zs, tol, max_step)
+                    row = {**head, "seed": seed, "tol": tol, "max_step": max_step, "nfe": nfe,
+                           "rejected": rejected, "w1_oracle": pooled_w1(z1, exact)}
+                    if ref is not None:
+                        row["w1_reference"] = pooled_w1(z1, ref)
+                    print(json.dumps(row), flush=True)
     return 0
 
 

@@ -33,6 +33,9 @@ class NoteBoundaryConstraint:
     # frame's note's tokens with index <= j.
     frame_token_lo: np.ndarray = field(init=False, repr=False)
     frame_token_hi: np.ndarray = field(init=False, repr=False)
+    # Flat indices into the [tokens, frames] matrix of those cells, frame by
+    # frame and, within a frame, from token hi - 1 down to lo.
+    frame_cells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         tok, frm = (np.array(ids, dtype=np.int64) for ids in (self.token_note_id, self.frame_note_id))
@@ -51,13 +54,22 @@ class NoteBoundaryConstraint:
         if short.size:
             k = short[0]
             raise ValidationError(f"alignment: note {notes[k]} has {n_tok[k]} tokens but only {n_frm[k]} frames")
+        t = len(frm)
+        lo = np.searchsorted(tok, frm, side="left")
+        hi = np.minimum(np.searchsorted(tok, frm, side="right"), np.arange(1, t + 1))
+        counts = np.maximum(hi - lo, 0)
+        starts = counts.cumsum() - counts
+        # the k-th cell, d = k - starts[j] places below token hi - 1 of frame
+        # j, is (hi - 1 - d) * t + j = (hi - 1 + starts[j]) * t + j - k * t
+        cells = np.repeat((hi - 1 + starts) * t + np.arange(t), counts) - np.arange(0, counts.sum() * t, t)
         derived = {
             "token_note_id": tok,
             "frame_note_id": frm,
             "note_token_counts": n_tok,
             "note_frame_counts": n_frm,
-            "frame_token_lo": np.searchsorted(tok, frm, side="left"),
-            "frame_token_hi": np.minimum(np.searchsorted(tok, frm, side="right"), np.arange(1, len(frm) + 1)),
+            "frame_token_lo": lo,
+            "frame_token_hi": hi,
+            "frame_cells": cells,
         }
         for name, a in derived.items():
             a.flags.writeable = False
@@ -113,28 +125,29 @@ def mas_align(ll, nb: NoteBoundaryConstraint) -> tuple[AlignmentPath, float]:
     other cell stays -inf. Exact ties prefer staying on the current token,
     which backtracks to the path whose boundaries fall earliest. A column
     holds a few cells (the tokens of one note), so the loop runs on Python
-    floats.
+    floats, and only those cells of ``ll`` are converted.
     """
     ll = _check_instance(ll, nb)
-    n, t = ll.shape
-    cols = ll.T.tolist()
+    n = ll.shape[0]
+    next_cell = iter(ll.take(nb.frame_cells).tolist()).__next__
     # q[i + 1] holds Q[i, j], updated in place from column j-1 to column j;
     # q[0] stays -inf, so token 0 needs no branch for its missing move
     # predecessor.
     q = [_NEG] * (n + 1)
-    q[1] = cols[0][0]
+    q[1] = next_cell()  # frame 0 allows token 0 alone
     stays = []  # per frame j >= 1: (lo, whether token lo + k chose Q[i, j-1])
     prev_lo = 0
-    for col, lo, hi in zip(cols[1:], nb.frame_token_lo[1:].tolist(), nb.frame_token_hi[1:].tolist()):
+    for lo, hi in zip(nb.frame_token_lo[1:].tolist(), nb.frame_token_hi[1:].tolist()):
         took = [False] * (hi - lo)
-        # from the last token down, so both predecessors still hold column j-1
+        # from the last token down, so both predecessors still hold column
+        # j-1; the cells come in the same order
         for i in range(hi - 1, lo - 1, -1):
             from_stay, from_move = q[i + 1], q[i]
             if from_stay >= from_move:
-                q[i + 1] = col[i] + from_stay
+                q[i + 1] = next_cell() + from_stay
                 took[i - lo] = True
             else:
-                q[i + 1] = col[i] + from_move
+                q[i + 1] = next_cell() + from_move
         if lo != prev_lo:  # tokens the window has left are -inf from column j on
             q[prev_lo + 1:lo + 1] = [_NEG] * (lo - prev_lo)
             prev_lo = lo
