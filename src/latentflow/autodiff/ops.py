@@ -204,13 +204,28 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor | np.ndarray:
     return _make("narrow", xv[idx].copy(), (x, vjp))
 
 
+def _check_count(op: str, name: str, n, least: int) -> None:
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise ValidationError(f"{op}: {name} must be an integer >= {least}, got {n!r}")
+
+
+def _pad(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """x with zeros put ahead of and behind its last axis, in a fresh array;
+    counts both <= 0 cut instead, as a view, and (0, 0) returns x itself."""
+    if not (before or after):
+        return x
+    if before < 0 or after < 0:
+        return x[..., -before : x.shape[-1] + after]
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + before + after,))
+    out[..., before : before + x.shape[-1]] = x
+    return out
+
+
 def pad_last(x, before: int, after: int) -> Tensor | np.ndarray:
     """Zero-pad along the final axis."""
-    xv = value(x)
-    width = [(0, 0)] * (xv.ndim - 1) + [(before, after)]
-    out = np.pad(xv, width)
-    sl = (Ellipsis, slice(before, before + xv.shape[-1]))
-    return _make("pad_last", out, (x, lambda g: g[sl]))
+    _check_count("pad_last", "before", before, 0)
+    _check_count("pad_last", "after", after, 0)
+    return _make("pad_last", _pad(value(x), before, after), (x, lambda g: _pad(g, -before, -after)))
 
 
 def take_rows(w, ids) -> Tensor | np.ndarray:
@@ -326,6 +341,29 @@ def _dense_w(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return (g @ cols.transpose(0, 2, 1)).sum(0)
 
 
+def _correlate(xp: np.ndarray, w: np.ndarray, dilation: int, stride: int, t_out: int, depthwise: bool):
+    """xp[B, Cin, T] correlated with w[Cout, Cin, K] (depthwise: w[C, 1, K])
+    at t_out frames, as a fresh array, and the windows that it read."""
+    K = w.shape[-1]
+    if depthwise:
+        cols = _im2col(xp, K, dilation, stride, t_out)
+        return np.einsum("bcjt,cj->bct", cols, w[:, 0, :]), cols
+    cols = _windows(xp, K, dilation, stride, t_out)
+    return _dense(cols, w), cols
+
+
+def _correlate_t(g: np.ndarray, w: np.ndarray, T: int, pad: int, dilation: int, stride: int, depthwise: bool):
+    """Adjoint of _correlate(_pad(x, pad, pad), w, ...) in x[B, Cin, T]. Stride
+    1: correlate g, padded by span - pad, with w flipped along K and its channel
+    axes swapped (Dumoulin & Visin 2016). Else: overlap-add the windows' adjoint."""
+    if stride == 1:
+        e = (w.shape[-1] - 1) * dilation - pad
+        wf = w[:, :, ::-1] if depthwise else w[:, :, ::-1].transpose(1, 0, 2)
+        return _correlate(_pad(g, e, e), wf, dilation, 1, T, depthwise)[0]
+    gcols = w[None, :, 0, :, None] * g[:, :, None, :] if depthwise else _dense_t(g, w)
+    return _pad(_col2im(gcols, T + 2 * pad, dilation, stride), -pad, -pad)
+
+
 def _add_bias(op: str, out: np.ndarray, bias) -> np.ndarray:
     """out[B, C, T] plus a per-channel bias[C], if one is given, added in
     place: out must be a fresh array the caller owns."""
@@ -348,7 +386,7 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
     xv, wv = value(x), value(w)
     if xv.ndim != 3 or wv.ndim != 3:
         raise ValidationError(f"conv1d: expected 3-D input and weight, got {xv.shape} and {wv.shape}")
-    B, Ci, T = xv.shape
+    _, Ci, T = xv.shape
     Co, Cig, K = wv.shape
     if Ci != Cig * groups or Co % groups:
         raise ValidationError(
@@ -357,47 +395,24 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1, groups: int = 1,
     depthwise = groups != 1
     if depthwise and not groups == Ci == Co:
         raise ValidationError(f"conv1d: groups={groups} must be 1 or equal the {Ci} input and {Co} output channels")
+    _check_count("conv1d", "kernel", K, 1)
+    _check_count("conv1d", "stride", stride, 1)
+    _check_count("conv1d", "dilation", dilation, 1)
+    if padding is not None:
+        _check_count("conv1d", "padding", padding, 0)
     pad = _same_pad(K, dilation) if padding is None else int(padding)
-    span = (K - 1) * dilation
-    t_out = (T + 2 * pad - span - 1) // stride + 1
+    t_out = (T + 2 * pad - (K - 1) * dilation - 1) // stride + 1
     if t_out <= 0:
         raise ValidationError(f"conv1d: input of {T} frames too short for kernel {K} dilation {dilation}")
 
-    if pad:
-        xp = np.zeros((B, Ci, T + 2 * pad))
-        xp[:, :, pad : pad + T] = xv
-    else:
-        xp = xv
-    if depthwise:
-        cols = _im2col(xp, K, dilation, stride, t_out)
-        out = np.einsum("bcjt,cj->bct", cols, wv[:, 0, :])
-    else:
-        cols = _windows(xp, K, dilation, stride, t_out)
-        out = _dense(cols, wv)
+    out, cols = _correlate(_pad(xv, pad, pad), wv, dilation, stride, t_out, depthwise)
     out = _add_bias("conv1d", out, bias)
-
-    def vjp_x(g):
-        if stride == 1:
-            # The forward convolution of g, padded to T + span frames with
-            # span - pad zeros on each side (or cut where pad > span), by the
-            # kernel flipped along K: gx[n] = sum_j w[:, :, K-1-j]^T gp[n + j*dilation].
-            e = span - pad
-            if e > 0:
-                gp = np.zeros((B, Co, T + span))
-                gp[:, :, e : e + t_out] = g
-            else:
-                gp = g[:, :, -e : t_out + e]
-            if depthwise:
-                return np.einsum("bcjt,cj->bct", _im2col(gp, K, dilation, 1, T), wv[:, 0, ::-1])
-            return _dense(_windows(gp, K, dilation, 1, T), wv[:, :, ::-1].transpose(1, 0, 2))
-        gcols = wv[None, :, 0, :, None] * g[:, :, None, :] if depthwise else _dense_t(g, wv)
-        gxp = _col2im(gcols, T + 2 * pad, dilation, stride)
-        return gxp[:, :, pad : pad + T] if pad else gxp
 
     def vjp_w(g):
         return np.einsum("bcjt,bct->cj", cols, g)[:, None, :] if depthwise else _dense_w(g, cols).reshape(wv.shape)
 
-    return _make("conv1d", out, (x, vjp_x), (w, vjp_w), (bias, lambda g: g.sum(axis=(0, 2))))
+    return _make("conv1d", out, (x, lambda g: _correlate_t(g, wv, T, pad, dilation, stride, depthwise)),
+                 (w, vjp_w), (bias, lambda g: g.sum(axis=(0, 2))))
 
 
 def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor | np.ndarray:
@@ -410,28 +425,26 @@ def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor | np.ndarray:
     xv, wv = value(x), value(w)
     if xv.ndim != 3 or wv.ndim != 3:
         raise ValidationError(f"conv_transpose1d: expected 3-D input and weight, got {xv.shape} and {wv.shape}")
-    B, Ci, T = xv.shape
-    Ciw, Co, K = wv.shape
+    _, Ci, T = xv.shape
+    Ciw, _, K = wv.shape
     if Ci != Ciw:
         raise ValidationError(f"conv_transpose1d: weight {wv.shape} incompatible with input {xv.shape}")
+    _check_count("conv_transpose1d", "stride", stride, 1)
     if K < stride or (K - stride) % 2:
         raise ValidationError(f"conv_transpose1d: need kernel >= stride with even difference, got K={K} stride={stride}")
     pad = (K - stride) // 2
-    full = (T - 1) * stride + K
-    out_full = _col2im(_dense_t(xv, wv), full, 1, stride)
-    out = _add_bias("conv_transpose1d", out_full[:, :, pad : pad + stride * T].copy(), bias)
+    out = np.ascontiguousarray(_correlate_t(xv, wv, stride * T, pad, 1, stride, False))
+    out = _add_bias("conv_transpose1d", out, bias)
 
-    windowed = [None, None]  # the last g and its windows, shared by both vjps of one sweep
+    corr = [None, None]  # the last g and _correlate's (x gradient, windows) of it, shared by both vjps
 
-    def gcols(g):
-        if windowed[0] is not g:
-            gfull = np.zeros((B, Co, full))
-            gfull[:, :, pad : pad + stride * T] = g
-            windowed[:] = g, _windows(gfull, K, 1, stride, T)
-        return windowed[1]
+    def correlate(g):
+        if corr[0] is not g:
+            corr[:] = g, _correlate(_pad(g, pad, pad), wv, 1, stride, T, False)
+        return corr[1]
 
-    return _make("conv_transpose1d", out, (x, lambda g: _dense(gcols(g), wv)),
-                 (w, lambda g: _dense_w(xv, gcols(g)).reshape(wv.shape)), (bias, lambda g: g.sum(axis=(0, 2))))
+    return _make("conv_transpose1d", out, (x, lambda g: correlate(g)[0]),
+                 (w, lambda g: _dense_w(xv, correlate(g)[1]).reshape(wv.shape)), (bias, lambda g: g.sum(axis=(0, 2))))
 
 
 def frame_signal(x, frame: int, hop: int) -> Tensor | np.ndarray:
@@ -440,6 +453,8 @@ def frame_signal(x, frame: int, hop: int) -> Tensor | np.ndarray:
     xv = value(x)
     if xv.ndim != 1:
         raise ValidationError(f"frame_signal: expected 1-D signal, got shape {xv.shape}")
+    _check_count("frame_signal", "frame", frame, 1)
+    _check_count("frame_signal", "hop", hop, 1)
     L = xv.shape[0]
     if L < frame:
         raise ValidationError(f"frame_signal: signal of {L} samples shorter than frame {frame}")

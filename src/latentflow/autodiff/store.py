@@ -34,9 +34,6 @@ class ParamStore:
         self._params[name] = t
         return t
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 

@@ -254,6 +254,18 @@ def test_conv_transpose1d_is_the_adjoint_of_strided_conv1d(cin, cout, k, stride)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("cin,cout,k,stride", [(3, 2, 4, 2), (16, 8, 8, 4), (2, 5, 3, 1), (1, 1, 5, 3)])
+def test_conv_transpose1d_is_bit_identical_to_the_input_gradient_of_conv1d(cin, cout, k, stride):
+    rng = np.random.default_rng(cin * 100 + k)
+    x = rng.standard_normal((2, cin, 7))
+    w = rng.standard_normal((cin, cout, k))
+    y = ad.Tensor(rng.standard_normal((2, cout, 7 * stride)))
+    with ad.Tape() as tape:
+        loss = ad.total(ad.mul(ad.conv1d(y, w, stride=stride, padding=(k - stride) // 2), x))
+    (gy,) = ad.grad(loss, [y], tape)
+    assert np.array_equal(ad.conv_transpose1d(x, w, stride=stride), gy)
+
+
 def _conv1d_direct(x, w, bias, stride, dilation, pad, depthwise):
     """conv1d as the defining sum over taps and input channels, one output
     sample at a time; a depthwise weight [C, 1, K] reads only its own channel."""
@@ -424,6 +436,33 @@ def test_conv1d_rejects_groups_other_than_one_or_depthwise(cin, cout, groups):
     w = np.zeros((cout, cin // groups, 3))
     with pytest.raises(ValueError, match="conv1d"):
         ad.conv1d(x, w, groups=groups)
+
+
+_X, _W, _WT = np.zeros((1, 2, 10)), np.zeros((3, 2, 3)), np.zeros((2, 3, 4))
+ARGUMENT_CASES = [
+    pytest.param("conv1d", "kernel", lambda: ad.conv1d(_X, _W[:, :, :0], padding=0), id="conv1d-kernel=0"),
+    pytest.param("conv1d", "stride", lambda: ad.conv1d(_X, _W, stride=0), id="conv1d-stride=0"),
+    pytest.param("conv1d", "stride", lambda: ad.conv1d(_X, _W, stride=-1), id="conv1d-stride=-1"),
+    pytest.param("conv1d", "dilation", lambda: ad.conv1d(_X, _W, dilation=0), id="conv1d-dilation=0"),
+    pytest.param("conv1d", "padding", lambda: ad.conv1d(_X, _W, padding=-1), id="conv1d-padding=-1"),
+    pytest.param("conv1d", "padding", lambda: ad.conv1d(_X, _W, padding=1.5), id="conv1d-padding=1.5"),
+    pytest.param("conv_transpose1d", "stride", lambda: ad.conv_transpose1d(_X, _WT, stride=0),
+                 id="conv_transpose1d-stride=0"),
+    pytest.param("conv_transpose1d", "stride", lambda: ad.conv_transpose1d(_X, _WT[:, :, :0], stride=0),
+                 id="conv_transpose1d-stride=0-K=0"),
+    pytest.param("conv_transpose1d", "stride", lambda: ad.conv_transpose1d(_X, _WT, stride=-2),
+                 id="conv_transpose1d-stride=-2"),
+    pytest.param("frame_signal", "hop", lambda: ad.frame_signal(np.zeros(20), 5, 0), id="frame_signal-hop=0"),
+    pytest.param("frame_signal", "frame", lambda: ad.frame_signal(np.zeros(20), 0, 4), id="frame_signal-frame=0"),
+    pytest.param("pad_last", "before", lambda: ad.pad_last(_X, -1, 0), id="pad_last-before=-1"),
+    pytest.param("pad_last", "after", lambda: ad.pad_last(_X, 0, -1), id="pad_last-after=-1"),
+]
+
+
+@pytest.mark.parametrize("op,arg,call", ARGUMENT_CASES)
+def test_conv_and_framing_ops_reject_bad_counts_by_name(op, arg, call):
+    with pytest.raises(ValidationError, match=rf"^{op}: {arg} "):
+        call()
 
 
 def test_log_sqrt_gradients():
