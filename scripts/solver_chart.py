@@ -46,8 +46,8 @@ from latentflow import autodiff as ad  # noqa: E402
 from latentflow import cvae, flowmatch, odesolver, vectorfield  # noqa: E402
 
 # (tolerance, max_step): the default before this chart, then the chosen
-# default (5e-4, 0.5) and its neighbours.
-SETTINGS = [(3e-4, 0.5), (5e-4, 0.5), (4e-4, 0.5), (6e-4, 0.5), (5e-4, 0.4), (5e-4, 0.6)]
+# default (5e-4, 0.34) and its neighbours in max step and in tolerance.
+SETTINGS = [(5e-4, 0.5), (5e-4, 0.34), (5e-4, 1 / 3), (5e-4, 0.35), (4e-4, 0.34), (6e-4, 0.34)]
 
 
 def prior_samples(seed: int, n: int) -> list[np.ndarray]:

@@ -188,6 +188,7 @@ def concat(parts, axis: int) -> Tensor | np.ndarray:
 def narrow(x, axis: int, start: int, length: int) -> Tensor | np.ndarray:
     """Slice ``length`` entries from ``start`` along ``axis``."""
     xv = value(x)
+    _check_count("narrow", "length", length, 0)
     if start < 0 or start + length > xv.shape[axis]:
         raise ValidationError(
             f"narrow: slice [{start}, {start + length}) out of range for axis {axis} of shape {xv.shape}"

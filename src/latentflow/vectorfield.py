@@ -19,8 +19,9 @@ from .exceptions import ValidationError
 # and 1000, charted with scripts/solver_chart.py, 300 is the one that at max
 # step 0.5 matches the W1 that 1000 gave at the old solver defaults, on every
 # fit seed, at the fewest velocity-field calls: 52 per synth solve instead of
-# 86 (see SolverConfig). At max step 0.5, 500 is 11% worse on one seed, and
-# the field that 400 fits from seed 2 is 80% further from the oracle.
+# 86, and 34 at today's max step of 0.34 (see SolverConfig). At max step 0.5,
+# 500 is 11% worse on one seed, and the field that 400 fits from seed 2 is 80%
+# further from the oracle.
 _OMEGA_LO = 1.0
 _OMEGA_HI = 300.0
 # Each block's depthwise convolution: kernel width 3 at its own dilation, so

@@ -456,6 +456,7 @@ ARGUMENT_CASES = [
     pytest.param("frame_signal", "frame", lambda: ad.frame_signal(np.zeros(20), 0, 4), id="frame_signal-frame=0"),
     pytest.param("pad_last", "before", lambda: ad.pad_last(_X, -1, 0), id="pad_last-before=-1"),
     pytest.param("pad_last", "after", lambda: ad.pad_last(_X, 0, -1), id="pad_last-after=-1"),
+    pytest.param("narrow", "length", lambda: ad.narrow(np.ones((2, 6)), 1, 2, -1), id="narrow-length=-1"),
 ]
 
 
