@@ -1,7 +1,7 @@
 """Solver error against cost for the synth workload's dopri5 refinement.
 
     python3 scripts/solver_chart.py --seeds 1 2 3 4 5 6 [--ops 40] [--reference 1e-7] \
-        [--omega-hi 1000 500] [--fit-seeds 0 1 2]
+        [--omega-hi geometric:300 12 16] [--fit-seeds 0 1 2]
 
 For each seed, builds the benchmark's synth inputs (corpus and prior) and
 refines the prior samples of the first ``--ops`` utterances with dopri5 at
@@ -9,17 +9,27 @@ each ``(tolerance, max_step)`` setting, the tolerance used both absolute and
 relative, through a velocity field fitted to the Gaussian transport oracle
 by ``workloads.fit_field(fit_seed)``. ``--fit-seeds`` names those fits (the
 benchmark's own is ``workloads.MODEL_SEED``). ``--omega-hi`` charts each
-given top frequency of the field's time embedding in turn: it sets
-``vectorfield._OMEGA_HI`` and refits; without it the package's value stays.
+given time embedding in turn and refits: a number is the top harmonic
+(``vectorfield._OMEGA_HI``), and ``geometric:TOP`` the former frequencies,
+spaced geometrically on [1, TOP]; without it the package's embedding stays.
 
-For each top frequency, fit seed, seed and setting it prints the mean
+For each embedding, fit seed, seed and setting it prints the mean
 number of velocity-field calls per solve (NFE), the mean number of rejected
 steps per solve, and the W1 of the refined latents to the oracle flow map:
 the synth workload's ``quality_err`` when ``--ops`` is the workload's
 ``min_ops`` and the fit seed is ``MODEL_SEED``. That W1 is the fit error of
 the field plus the solver error. ``--reference TOL`` also solves every
 utterance at TOL and prints each setting's W1 to that solve, the solver
-error alone. A 1e-7 solve takes 1,000 to 2,500 NFE per utterance.
+error alone. A 1e-7 solve takes about 300 NFE per utterance on the
+benchmark's field, and 1,200 with the former frequencies on [1, 300].
+
+Then, for each embedding and setting, it prints one summary row across the
+fit seeds. A fit's W1 is the mean of its rows' over the input seeds, and
+its ratio is that W1 over the same fit's at the same setting under the
+first embedding charted. The row gives the mean NFE and rejected steps,
+the median and the worst fit's W1, and the median and range of the
+ratios. ``meets_rule`` says whether the median and the worst fit are no
+higher than under the first embedding and the median ratio is at most 1.
 
 BLAS runs on one thread, as in the benchmark. Each line of output is one
 JSON object.
@@ -27,6 +37,7 @@ JSON object.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,8 +56,8 @@ import workloads  # noqa: E402
 from latentflow import autodiff as ad  # noqa: E402
 from latentflow import cvae, flowmatch, odesolver, vectorfield  # noqa: E402
 
-# (tolerance, max_step): the default before this chart, then the chosen
-# default (5e-4, 0.34) and its neighbours in max step and in tolerance.
+# (tolerance, max_step): the former default max step, then the default
+# (5e-4, 0.34) and its neighbours in max step and in tolerance.
 SETTINGS = [(5e-4, 0.5), (5e-4, 0.34), (5e-4, 1 / 3), (5e-4, 0.35), (4e-4, 0.34), (6e-4, 0.34)]
 
 
@@ -66,12 +77,36 @@ def prior_samples(seed: int, n: int) -> list[np.ndarray]:
     return zs
 
 
-def fit(omega_hi: float | None, fit_seed: int):
-    """``workloads.fit_field(fit_seed)`` with the time embedding's top
-    frequency at ``omega_hi``, which stays set for the field's later calls."""
-    if omega_hi is not None:
-        vectorfield._OMEGA_HI = omega_hi
-        vectorfield.time_frequencies.cache_clear()
+def embedding(text: str) -> tuple[str, float]:
+    """``--omega-hi``'s value: ("harmonic", top) or ("geometric", top)."""
+    kind, _, top = text.rpartition(":")
+    if kind not in ("", "geometric"):
+        raise argparse.ArgumentTypeError(f"not a top frequency or geometric:TOP: {text}")
+    return kind or "harmonic", float(top)
+
+
+_HARMONICS = vectorfield.time_frequencies
+
+
+@functools.cache
+def geometric_frequencies(top: float, dim: int) -> np.ndarray:
+    """The former time frequencies: dim // 2 of them, geometric on [1, top]."""
+    w = np.exp(np.linspace(0.0, np.log(top), dim // 2))
+    w.setflags(write=False)
+    return w
+
+
+def fit(emb: tuple[str, float] | None, fit_seed: int):
+    """``workloads.fit_field(fit_seed)`` with the time embedding ``emb``,
+    which stays set for the field's later calls; None keeps the package's."""
+    if emb is not None:
+        kind, top = emb
+        if kind == "harmonic":
+            vectorfield._OMEGA_HI = top
+            vectorfield.time_frequencies = _HARMONICS
+            _HARMONICS.cache_clear()
+        else:
+            vectorfield.time_frequencies = functools.partial(geometric_frequencies, top)
     field, _ = workloads.fit_field(fit_seed)
     return field
 
@@ -95,23 +130,52 @@ def pooled_w1(a, b) -> float:
     )
 
 
+def summaries(rows: list[dict]) -> list[dict]:
+    """One row per embedding and setting across the fit seeds, each fit
+    compared with itself under the first embedding charted."""
+    per_fit = {}  # (embedding, setting) -> fit seed -> w1 per input seed
+    cost = {}  # (embedding, setting) -> (nfe, rejected) rows
+    for r in rows:
+        key = (r["embedding"], r["omega_hi"]), (r["tol"], r["max_step"])
+        per_fit.setdefault(key, {}).setdefault(r["fit_seed"], []).append(r["w1_oracle"])
+        cost.setdefault(key, []).append((r["nfe"], r["rejected"]))
+    first = next(iter(per_fit))[0]
+    out = []
+    for (emb, setting), fits in per_fit.items():
+        w1 = {f: float(np.mean(v)) for f, v in fits.items()}
+        base = {f: float(np.mean(v)) for f, v in per_fit[first, setting].items()}
+        ratio = [w1[f] / base[f] for f in w1]
+        worst = max(w1, key=w1.get)
+        row = {"summary": True, "embedding": emb[0], "omega_hi": emb[1], "tol": setting[0], "max_step": setting[1],
+               "fit_seeds": sorted(w1), "nfe": float(np.mean([c[0] for c in cost[emb, setting]])),
+               "rejected": float(np.mean([c[1] for c in cost[emb, setting]])),
+               "w1_median": float(np.median(list(w1.values()))), "w1_worst": w1[worst], "worst_fit_seed": worst,
+               "ratio_median": float(np.median(ratio)), "ratio_min": min(ratio), "ratio_max": max(ratio)}
+        row["meets_rule"] = bool(row["w1_median"] <= np.median(list(base.values()))
+                                 and row["w1_worst"] <= max(base.values()) and row["ratio_median"] <= 1.0)
+        out.append(row)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--ops", type=int, default=workloads.Synth.min_ops)
     ap.add_argument("--reference", type=float, default=None, help="tolerance of the reference solve")
-    ap.add_argument("--omega-hi", type=float, nargs="+", default=[None],
-                    help="top angular frequencies of the time embedding to chart")
+    ap.add_argument("--omega-hi", type=embedding, nargs="+", default=[None],
+                    help="time embeddings to chart: a top harmonic, or geometric:TOP for the former one")
     ap.add_argument("--fit-seeds", type=int, nargs="+", default=[workloads.MODEL_SEED])
     args = ap.parse_args(argv)
     inputs = {}  # seed -> (prior samples, their oracle flow map)
     for seed in args.seeds:
         zs = prior_samples(seed, args.ops)
         inputs[seed] = zs, [flowmatch.gaussian_flow_map(workloads.FIT_SPEC, z, 1.0) for z in zs]
-    for omega_hi in args.omega_hi:
+    rows = []
+    for emb in args.omega_hi:
+        kind, top = emb or ("harmonic", vectorfield._OMEGA_HI)
         for fit_seed in args.fit_seeds:
-            field = fit(omega_hi, fit_seed)
-            head = {"omega_hi": vectorfield._OMEGA_HI, "fit_seed": fit_seed}
+            field = fit(emb, fit_seed)
+            head = {"embedding": kind, "omega_hi": top, "fit_seed": fit_seed}
             for seed, (zs, exact) in inputs.items():
                 ref = None
                 if args.reference is not None:
@@ -125,7 +189,10 @@ def main(argv=None) -> int:
                            "rejected": rejected, "w1_oracle": pooled_w1(z1, exact)}
                     if ref is not None:
                         row["w1_reference"] = pooled_w1(z1, ref)
+                    rows.append(row)
                     print(json.dumps(row), flush=True)
+    for row in summaries(rows):
+        print(json.dumps(row), flush=True)
     return 0
 
 

@@ -36,22 +36,18 @@ class SolverConfig:
     """Adaptive step-control settings.
 
     The defaults (tolerances 5e-4, max step 0.34) come from
-    ``scripts/solver_chart.py`` on the synth workload with the time
-    embedding's top frequency at 300. Of the settings charted, they are the
-    cheapest whose W1 to the Gaussian oracle, over input seeds 1-14 on each
-    of the fields fitted from seeds 0, 1 and 2, has a median no higher than
-    the former defaults gave, and is at most 5% higher on any one seed. On
-    the benchmark's field a solve takes about 34 velocity-field calls.
-
-    The max step sits below 0.5 because accepted steps on the synth field
-    stay at or below 0.30, and past h = 0.1 the error norm grows about
-    linearly in h, not like h^5: from 0.5 each rejection shrinks the step by
-    only 0.80-0.87, so every solve paid about four rejected first steps. It
-    stays at least 1/3 so that a smooth field still crosses [0, 1] in three
-    steps (19 calls). The solver error alone, the W1 to a 1e-7 solve of the
-    same field, is 0.002-0.003, small against the field's fit error of about
-    0.016. Pass tighter settings where the right-hand side is exact and the
-    solver error is what is measured.
+    ``scripts/solver_chart.py`` on the synth workload. With the time
+    embedding's harmonics up to 12 (see ``vectorfield``), every synth solve
+    on the fields fitted from seeds 0-7 crosses [0, 1] in three steps, 19
+    velocity-field calls, with no rejected step. The cap binds, not the
+    tolerances: 4e-4 and 6e-4 give the same W1 to the Gaussian oracle. The
+    cap stays at least 1/3 so that three steps reach t = 1. At 0.5 the
+    controller cuts the second step to about 0.47, so a solve also takes
+    three steps, at a median W1 over the eight fits of .0221 against .0195.
+    The solver error alone, the W1 to a 1e-7 solve of the benchmark's
+    field, is 0.0009, small against that field's fit error of 0.018. Pass
+    tighter settings where the right-hand side is exact and the solver
+    error is what is measured.
     """
 
     abs_tol: float = 5e-4
@@ -111,8 +107,9 @@ def solve(rhs, z0: np.ndarray, cfg: SolverConfig | None = None):
     Error norm: rms of e_i / (abs_tol + rel_tol * max(|z_i|, |z'_i|));
     a step is accepted when the norm is <= 1. The proposed factor
     0.9 * err^(-1/5) is clamped to [0.2, 5.0] and the step to max_step.
-    The final step is truncated to land exactly on t = 1. More than 20
-    consecutive rejected steps raise NumericalError.
+    A step is also cut to what is left of [0, 1], so none passes max_step,
+    and t is set to exactly 1 when a step lands within 1e-12 of it. More
+    than 20 consecutive rejected steps raise NumericalError.
     """
     cfg = cfg or SolverConfig()
     z = np.asarray(z0, dtype=np.float64)
@@ -122,8 +119,7 @@ def solve(rhs, z0: np.ndarray, cfg: SolverConfig | None = None):
     k1: np.ndarray | None = None
     rejected_run = 0
     while t < 1.0:
-        if 1.0 - (t + h) < 1e-12:
-            h = 1.0 - t
+        h = min(h, 1.0 - t)
         if k1 is None:
             k1 = rhs(z, t)
             stats.rhs_evals += 1

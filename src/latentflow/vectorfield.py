@@ -10,20 +10,21 @@ import numpy as np
 from . import autodiff as ad
 from .exceptions import ValidationError
 
-# Angular frequencies span [1, 300] geometrically. The top one bounds how fast
-# a fitted field can vary in t (Tancik et al. 2020), and that roughness, not
-# the solver, sets how many steps dopri5 takes. On the synth workload's field,
-# rms dv/dt along the oracle path is 10.2 at 300 against 32.5 at 1000, with rms
-# v 3.05 at both (central differences, step 1e-5, seeds 3-5), and a 1e-7 solve
-# lands closer to the oracle (W1 0.0157 against 0.0168). Of 300, 400, 500, 700
-# and 1000, charted with scripts/solver_chart.py, 300 is the one that at max
-# step 0.5 matches the W1 that 1000 gave at the old solver defaults, on every
-# fit seed, at the fewest velocity-field calls: 52 per synth solve instead of
-# 86, and 34 at today's max step of 0.34 (see SolverConfig). At max step 0.5,
-# 500 is 11% worse on one seed, and the field that 400 fits from seed 2 is 80%
-# further from the oracle.
-_OMEGA_LO = 1.0
-_OMEGA_HI = 300.0
+# The angular frequencies are the harmonics of _OMEGA_HI / n up to _OMEGA_HI:
+# 1.5, 3, ..., 12 at the default dim of 16. The top one bounds how fast a
+# fitted field can vary in t (Tancik et al. 2020), and that roughness, not the
+# solver, sets how many steps dopri5 takes. Its period, 0.52 in t, is longer
+# than a step at the solver's 0.34 cap, and on the synth workload's fields
+# from fit seeds 0-7 every solve crosses [0, 1] in three steps (19
+# velocity-field calls) with no rejected step. Frequencies geometric on
+# [1, 300] reached a period of 0.021: dopri5's error estimate then grew about
+# linearly in h, and solves on the same fits took 34-74 calls on average,
+# nearly all their rejected steps at t=0. Of the tops 8, 10, 12, 14 and 16,
+# charted with scripts/solver_chart.py (BENCH_synth_embedding.json), 10 and
+# 12 keep the median and the worst fit's W1 to the oracle no higher than
+# [1, 300] gave (.0206 and .0657), and 12 has the lower median (.0195
+# against .0203).
+_OMEGA_HI = 12.0
 # Each block's depthwise convolution: kernel width 3 at its own dilation, so
 # a block reaches one dilation to each side and the stack 24 frames.
 _KERNEL = 3
@@ -37,13 +38,13 @@ def time_frequencies(dim: int) -> np.ndarray:
     if dim < 2 or dim % 2:
         raise ValidationError(f"time embedding dim must be even and >= 2, got {dim}")
     n = dim // 2
-    w = np.array([_OMEGA_LO]) if n == 1 else np.exp(np.linspace(np.log(_OMEGA_LO), np.log(_OMEGA_HI), n))
+    w = (_OMEGA_HI / n) * np.arange(1, n + 1)
     w.setflags(write=False)
     return w
 
 
 def time_embedding_batch(ts: np.ndarray, dim: int) -> np.ndarray:
-    """[B, dim] rows [sin(t*w_k), cos(t*w_k)] for geometrically spaced w_k,
+    """[B, dim] rows [sin(t*w_k), cos(t*w_k)] for the harmonics w_k,
     one per t in ``ts`` (a scalar counts as one); every t lies in [0, 1].
     Runs on every field call, so the range is checked on a list, where a
     NaN fails it too, and both halves are written into one array."""

@@ -185,10 +185,12 @@ def test_default_solver_budget_on_trained_field(trained_gaussian_field):
     # 1000; the error taken against a 1e-7 solve of the same 100 samples
     # (which is within W1 2.4e-5 of a 1e-8 solve). At that frequency,
     # samples from seeds 2 to 5 took NFE 31-43, solver W1 0.0041-0.0078 and
-    # max-abs 0.038-0.050, against a fit W1 to the oracle of 0.008-0.010; at
-    # today's 300 they take NFE 19-37, solver W1 0.0033-0.0086 and max-abs
-    # 0.029-0.071. The defaults before those (tolerances 1e-5, max step
-    # 0.1) took 361-367 NFE.
+    # max-abs 0.038-0.050, against a fit W1 to the oracle of 0.008-0.010;
+    # with frequencies geometric on [1, 300] they took NFE 19-37, solver W1
+    # 0.0033-0.0086 and max-abs 0.029-0.071. With today's harmonics up to 12
+    # they take NFE 13 (two steps), solver W1 0.0089-0.0096 and max-abs
+    # 0.051-0.059, against a fit W1 of 0.0072-0.0084. The defaults before
+    # all of those (tolerances 1e-5, max step 0.1) took 361-367 NFE.
     spec, field, _ = trained_gaussian_field
     z0 = spec.a + spec.s * np.random.default_rng(2).standard_normal((100, 8, 1))
     rhs = lambda z, t: field(z, t).data
@@ -202,25 +204,29 @@ def test_default_solver_budget_on_trained_field(trained_gaussian_field):
 def test_solver_budget_at_the_defaults_on_trained_field(trained_gaussian_field):
     # The same measurement at the SolverConfig defaults (tolerances 5e-4,
     # max step 0.34). Samples from seeds 2 to 5 take NFE 19 (three steps),
-    # solver W1 0.0066-0.0069 and max-abs 0.039-0.043, against a fit W1 to
-    # the oracle of 0.009-0.013. The bounds leave about 20% margin. At max
-    # step 0.5 they took NFE 13-19, solver W1 0.0109-0.0119 and max-abs
-    # 0.058-0.063, outside these bounds.
+    # solver W1 0.0031-0.0036 and max-abs 0.024-0.029, against a fit W1 to
+    # the oracle of 0.007-0.008. The error bounds leave about 20% margin.
+    # With the former time embedding (frequencies geometric on [1, 300])
+    # they took NFE 19, solver W1 0.0066-0.0069 and max-abs 0.039-0.043,
+    # outside these bounds, and at max step 0.5 NFE 13-19, solver W1
+    # 0.0109-0.0119 and max-abs 0.058-0.063.
     spec, field, _ = trained_gaussian_field
     z0 = spec.a + spec.s * np.random.default_rng(2).standard_normal((100, 8, 1))
     rhs = lambda z, t: field(z, t).data
     z1, stats = solve(rhs, z0)
     ref, _ = solve(rhs, z0, cfg=SolverConfig(abs_tol=1e-7, rel_tol=1e-7, max_step=1.0))
     assert stats.rhs_evals <= 23
-    assert wasserstein1_sorted(z1.ravel(), ref.ravel()) <= 0.0085
-    assert np.max(np.abs(z1 - ref)) <= 0.052
+    assert wasserstein1_sorted(z1.ravel(), ref.ravel()) <= 0.0043
+    assert np.max(np.abs(z1 - ref)) <= 0.035
 
 
 def test_trained_field_is_smooth_in_t_along_the_oracle_path(trained_gaussian_field):
     # How fast the fitted field varies in t, not the solver, sets the NFE,
     # and the time embedding's top frequency bounds it. Central differences
     # in t at fixed z, at 50 times on the oracle path of 100 samples: rms
-    # dv/dt over rms v is 4.6 with a top frequency of 1000 and 1.8 with 300.
+    # dv/dt over rms v is 1.09 with today's harmonics up to 12, against 4.6
+    # and 1.76 with frequencies geometric on [1, 1000] and [1, 300]. The
+    # bound leaves 20% margin.
     spec, field, _ = trained_gaussian_field
     h = 1e-5
     z0 = spec.a + spec.s * np.random.default_rng(3).standard_normal((100, 8, 1))
@@ -229,7 +235,7 @@ def test_trained_field_is_smooth_in_t_along_the_oracle_path(trained_gaussian_fie
         z = gaussian_flow_map(spec, z0, t)
         v.append(field(z, t).data)
         dv.append((field(z, t + h).data - field(z, t - h).data) / (2 * h))
-    assert np.sqrt(np.mean(np.square(dv)) / np.mean(np.square(v))) <= 3.0
+    assert np.sqrt(np.mean(np.square(dv)) / np.mean(np.square(v))) <= 1.3
 
 
 def test_oracle_velocity_symmetric_stds_at_half():

@@ -146,6 +146,11 @@ def test_forward_under_no_grad_is_bit_identical_to_the_taped_forward():
         assert len(tape) > 0 and np.array_equal(plain.data, taped.data)
 
 
+def test_time_frequencies_are_the_harmonics_of_the_top_over_their_count():
+    assert np.array_equal(time_frequencies(16), 1.5 * np.arange(1, 9))
+    assert np.array_equal(time_frequencies(2), [12.0])
+
+
 def test_time_embedding_equals_the_concatenated_sin_cos():
     """Writing both halves into one array gives the bits of concatenating
     sin(t w) and cos(t w), for a scalar and for a vector of times."""
