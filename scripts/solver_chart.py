@@ -1,35 +1,33 @@
 """Solver error against cost for the synth workload's dopri5 refinement.
 
-    python3 scripts/solver_chart.py --seeds 1 2 3 4 5 6 [--ops 40] [--reference 1e-7] \
-        [--omega-hi geometric:300 12 16] [--fit-seeds 0 1 2]
+    python3 scripts/solver_chart.py --seeds 1 2 3 4 5 6 [--ops 40] [--reference 1e-7] [--fit-seeds 0 1 2]
 
 For each seed, builds the benchmark's synth inputs (corpus and prior) and
 refines the prior samples of the first ``--ops`` utterances with dopri5 at
 each ``(tolerance, max_step)`` setting, the tolerance used both absolute and
 relative, through a velocity field fitted to the Gaussian transport oracle
 by ``workloads.fit_field(fit_seed)``. ``--fit-seeds`` names those fits (the
-benchmark's own is ``workloads.MODEL_SEED``). ``--omega-hi`` charts each
-given time embedding in turn and refits: a number is the top harmonic
-(``vectorfield._OMEGA_HI``), and ``geometric:TOP`` the former frequencies,
-spaced geometrically on [1, TOP]; without it the package's embedding stays.
+benchmark's own is ``workloads.MODEL_SEED``). Every fit uses the package's
+own time embedding. The comparison of time embeddings that chose it is
+recorded in BENCH_synth_embedding.json (its ``chart.command``); it can be
+re-run with this script as of commit b6a1eb1.
 
-For each embedding, fit seed, seed and setting it prints the mean
-number of velocity-field calls per solve (NFE), the mean number of rejected
-steps per solve, and the W1 of the refined latents to the oracle flow map:
-the synth workload's ``quality_err`` when ``--ops`` is the workload's
-``min_ops`` and the fit seed is ``MODEL_SEED``. That W1 is the fit error of
-the field plus the solver error. ``--reference TOL`` also solves every
-utterance at TOL and prints each setting's W1 to that solve, the solver
-error alone. A 1e-7 solve takes about 300 NFE per utterance on the
-benchmark's field, and 1,200 with the former frequencies on [1, 300].
+For each fit seed, seed and setting it prints the mean number of
+velocity-field calls per solve (NFE), the mean number of rejected steps per
+solve, and the W1 of the refined latents to the oracle flow map: the synth
+workload's ``quality_err`` when ``--ops`` is the workload's ``min_ops`` and
+the fit seed is ``MODEL_SEED``. That W1 is the fit error of the field plus
+the solver error. ``--reference TOL`` also solves every utterance at TOL
+and prints each setting's W1 to that solve, the solver error alone. A 1e-7
+solve takes about 300 NFE per utterance on the benchmark's field.
 
-Then, for each embedding and setting, it prints one summary row across the
-fit seeds. A fit's W1 is the mean of its rows' over the input seeds, and
-its ratio is that W1 over the same fit's at the same setting under the
-first embedding charted. The row gives the mean NFE and rejected steps,
-the median and the worst fit's W1, and the median and range of the
-ratios. ``meets_rule`` says whether the median and the worst fit are no
-higher than under the first embedding and the median ratio is at most 1.
+Then, for each setting, it prints one summary row across the fit seeds. A
+fit's W1 is the mean of its rows' over the input seeds, and its ratio is
+that W1 over the same fit's at the package default, ``SolverConfig()``'s
+``(abs_tol, max_step)``. The row gives the mean NFE and rejected steps, the
+median and the worst fit's W1, and the median and range of the ratios.
+``meets_rule`` says whether the median and the worst fit are no higher than
+at the default and the median ratio is at most 1.
 
 BLAS runs on one thread, as in the benchmark. Each line of output is one
 JSON object.
@@ -37,7 +35,6 @@ JSON object.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -54,7 +51,7 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 from latentflow import autodiff as ad  # noqa: E402
-from latentflow import cvae, flowmatch, odesolver, vectorfield  # noqa: E402
+from latentflow import cvae, flowmatch, odesolver  # noqa: E402
 
 # (tolerance, max_step): the former default max step, then the default
 # (5e-4, 0.34) and its neighbours in max step and in tolerance.
@@ -77,40 +74,6 @@ def prior_samples(seed: int, n: int) -> list[np.ndarray]:
     return zs
 
 
-def embedding(text: str) -> tuple[str, float]:
-    """``--omega-hi``'s value: ("harmonic", top) or ("geometric", top)."""
-    kind, _, top = text.rpartition(":")
-    if kind not in ("", "geometric"):
-        raise argparse.ArgumentTypeError(f"not a top frequency or geometric:TOP: {text}")
-    return kind or "harmonic", float(top)
-
-
-_HARMONICS = vectorfield.time_frequencies
-
-
-@functools.cache
-def geometric_frequencies(top: float, dim: int) -> np.ndarray:
-    """The former time frequencies: dim // 2 of them, geometric on [1, top]."""
-    w = np.exp(np.linspace(0.0, np.log(top), dim // 2))
-    w.setflags(write=False)
-    return w
-
-
-def fit(emb: tuple[str, float] | None, fit_seed: int):
-    """``workloads.fit_field(fit_seed)`` with the time embedding ``emb``,
-    which stays set for the field's later calls; None keeps the package's."""
-    if emb is not None:
-        kind, top = emb
-        if kind == "harmonic":
-            vectorfield._OMEGA_HI = top
-            vectorfield.time_frequencies = _HARMONICS
-            _HARMONICS.cache_clear()
-        else:
-            vectorfield.time_frequencies = functools.partial(geometric_frequencies, top)
-    field, _ = workloads.fit_field(fit_seed)
-    return field
-
-
 def refine(field, zs, tol: float, max_step: float):
     """The refined latents, and the mean NFE and rejected steps per solve."""
     cfg = odesolver.SolverConfig(abs_tol=tol, rel_tol=tol, max_step=max_step)
@@ -131,24 +94,24 @@ def pooled_w1(a, b) -> float:
 
 
 def summaries(rows: list[dict]) -> list[dict]:
-    """One row per embedding and setting across the fit seeds, each fit
-    compared with itself under the first embedding charted."""
-    per_fit = {}  # (embedding, setting) -> fit seed -> w1 per input seed
-    cost = {}  # (embedding, setting) -> (nfe, rejected) rows
+    """One row per setting across the fit seeds, each fit compared with
+    itself at the package default setting."""
+    default = odesolver.SolverConfig()
+    per_fit = {}  # setting -> fit seed -> w1 per input seed
+    cost = {}  # setting -> (nfe, rejected) rows
     for r in rows:
-        key = (r["embedding"], r["omega_hi"]), (r["tol"], r["max_step"])
+        key = r["tol"], r["max_step"]
         per_fit.setdefault(key, {}).setdefault(r["fit_seed"], []).append(r["w1_oracle"])
         cost.setdefault(key, []).append((r["nfe"], r["rejected"]))
-    first = next(iter(per_fit))[0]
+    base = {f: float(np.mean(v)) for f, v in per_fit[default.abs_tol, default.max_step].items()}
     out = []
-    for (emb, setting), fits in per_fit.items():
+    for setting, fits in per_fit.items():
         w1 = {f: float(np.mean(v)) for f, v in fits.items()}
-        base = {f: float(np.mean(v)) for f, v in per_fit[first, setting].items()}
         ratio = [w1[f] / base[f] for f in w1]
         worst = max(w1, key=w1.get)
-        row = {"summary": True, "embedding": emb[0], "omega_hi": emb[1], "tol": setting[0], "max_step": setting[1],
-               "fit_seeds": sorted(w1), "nfe": float(np.mean([c[0] for c in cost[emb, setting]])),
-               "rejected": float(np.mean([c[1] for c in cost[emb, setting]])),
+        row = {"summary": True, "tol": setting[0], "max_step": setting[1], "fit_seeds": sorted(w1),
+               "nfe": float(np.mean([c[0] for c in cost[setting]])),
+               "rejected": float(np.mean([c[1] for c in cost[setting]])),
                "w1_median": float(np.median(list(w1.values()))), "w1_worst": w1[worst], "worst_fit_seed": worst,
                "ratio_median": float(np.median(ratio)), "ratio_min": min(ratio), "ratio_max": max(ratio)}
         row["meets_rule"] = bool(row["w1_median"] <= np.median(list(base.values()))
@@ -162,8 +125,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--ops", type=int, default=workloads.Synth.min_ops)
     ap.add_argument("--reference", type=float, default=None, help="tolerance of the reference solve")
-    ap.add_argument("--omega-hi", type=embedding, nargs="+", default=[None],
-                    help="time embeddings to chart: a top harmonic, or geometric:TOP for the former one")
     ap.add_argument("--fit-seeds", type=int, nargs="+", default=[workloads.MODEL_SEED])
     args = ap.parse_args(argv)
     inputs = {}  # seed -> (prior samples, their oracle flow map)
@@ -171,26 +132,23 @@ def main(argv=None) -> int:
         zs = prior_samples(seed, args.ops)
         inputs[seed] = zs, [flowmatch.gaussian_flow_map(workloads.FIT_SPEC, z, 1.0) for z in zs]
     rows = []
-    for emb in args.omega_hi:
-        kind, top = emb or ("harmonic", vectorfield._OMEGA_HI)
-        for fit_seed in args.fit_seeds:
-            field = fit(emb, fit_seed)
-            head = {"embedding": kind, "omega_hi": top, "fit_seed": fit_seed}
-            for seed, (zs, exact) in inputs.items():
-                ref = None
-                if args.reference is not None:
-                    ref, nfe, rejected = refine(field, zs, args.reference, 1.0)
-                    print(json.dumps({**head, "seed": seed, "tol": args.reference, "max_step": 1.0, "nfe": nfe,
-                                      "rejected": rejected, "w1_oracle": pooled_w1(ref, exact),
-                                      "reference": True}), flush=True)
-                for tol, max_step in SETTINGS:
-                    z1, nfe, rejected = refine(field, zs, tol, max_step)
-                    row = {**head, "seed": seed, "tol": tol, "max_step": max_step, "nfe": nfe,
-                           "rejected": rejected, "w1_oracle": pooled_w1(z1, exact)}
-                    if ref is not None:
-                        row["w1_reference"] = pooled_w1(z1, ref)
-                    rows.append(row)
-                    print(json.dumps(row), flush=True)
+    for fit_seed in args.fit_seeds:
+        field, _ = workloads.fit_field(fit_seed)
+        for seed, (zs, exact) in inputs.items():
+            ref = None
+            if args.reference is not None:
+                ref, nfe, rejected = refine(field, zs, args.reference, 1.0)
+                print(json.dumps({"fit_seed": fit_seed, "seed": seed, "tol": args.reference, "max_step": 1.0,
+                                  "nfe": nfe, "rejected": rejected, "w1_oracle": pooled_w1(ref, exact),
+                                  "reference": True}), flush=True)
+            for tol, max_step in SETTINGS:
+                z1, nfe, rejected = refine(field, zs, tol, max_step)
+                row = {"fit_seed": fit_seed, "seed": seed, "tol": tol, "max_step": max_step, "nfe": nfe,
+                       "rejected": rejected, "w1_oracle": pooled_w1(z1, exact)}
+                if ref is not None:
+                    row["w1_reference"] = pooled_w1(z1, ref)
+                rows.append(row)
+                print(json.dumps(row), flush=True)
     for row in summaries(rows):
         print(json.dumps(row), flush=True)
     return 0

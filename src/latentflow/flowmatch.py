@@ -34,8 +34,8 @@ def interpolate(z_p, z_q, t):
     """
     _pair_shapes("interpolate", z_p, z_q)
     tv = np.asarray(t, dtype=np.float64)
-    if tv.min() < 0.0 or tv.max() > 1.0:
-        raise ValidationError(f"interpolate: t must lie in [0, 1], got {t}")
+    if tv.size == 0 or not (0.0 <= tv.min() and tv.max() <= 1.0):  # a NaN fails it too
+        raise ValidationError(f"interpolate: t must be nonempty and lie in [0, 1], got {t}")
     ts = _tspread(tv, ad.value(z_p))
     return ad.add(ad.mul(z_p, 1.0 - ts), ad.mul(z_q, ts))
 

@@ -196,7 +196,10 @@ class SingingSpec:
     noise_level: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "notes", tuple(map(tuple, self.notes)))
+        notes = tuple(tuple(n) if np.iterable(n) else n for n in self.notes)
+        if not all(isinstance(n, tuple) and len(n) == 3 for n in notes):
+            raise ValidationError("singing spec: each note must be a (midi, frames, token_id) triple")
+        object.__setattr__(self, "notes", notes)
         if self.vibrato_rate_hz < 0 or self.vibrato_depth_cents < 0:
             raise ValidationError("singing spec: vibrato rate/depth must be >= 0")
         if not self.notes or any(d < 1 for _, d, _ in self.notes):
@@ -215,11 +218,18 @@ def singing_f0_contour(spec: SingingSpec, cfg: MelConfig) -> np.ndarray:
 # f0 extraction
 
 
-@dataclass
+@dataclass(frozen=True)
 class F0ExtractConfig:
     fmin_search: float = 60.0
     fmax_search: float = 1000.0
     voicing_threshold: float = 0.5
+
+    def __post_init__(self):
+        if not 0 < self.fmin_search < self.fmax_search:  # a NaN fails it too
+            raise ValidationError(
+                f"f0 extract config: search range [{self.fmin_search}, {self.fmax_search}] Hz "
+                "needs 0 < fmin < fmax"
+            )
 
 
 def _normalized_autocorrelation(segs: np.ndarray, lag_min: int, lag_max: int) -> np.ndarray:
@@ -260,10 +270,6 @@ def f0_extract(y: np.ndarray, cfg: MelConfig, xcfg: F0ExtractConfig | None = Non
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise ValidationError(f"f0_extract: expected 1-D signal, got shape {y.shape}")
-    if not 0 < xcfg.fmin_search < xcfg.fmax_search:
-        raise ValidationError(
-            f"f0_extract: search range [{xcfg.fmin_search}, {xcfg.fmax_search}] Hz needs 0 < fmin < fmax"
-        )
     sr, hop = cfg.sample_rate, cfg.hop_size
     frame = int(np.ceil(2.0 * sr / xcfg.fmin_search))
     lag_min = max(2, int(np.floor(sr / xcfg.fmax_search)))

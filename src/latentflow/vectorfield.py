@@ -20,10 +20,11 @@ from .exceptions import ValidationError
 # [1, 300] reached a period of 0.021: dopri5's error estimate then grew about
 # linearly in h, and solves on the same fits took 34-74 calls on average,
 # nearly all their rejected steps at t=0. Of the tops 8, 10, 12, 14 and 16,
-# charted with scripts/solver_chart.py (BENCH_synth_embedding.json), 10 and
-# 12 keep the median and the worst fit's W1 to the oracle no higher than
-# [1, 300] gave (.0206 and .0657), and 12 has the lower median (.0195
-# against .0203).
+# 10 and 12 keep the median and the worst fit's W1 to the oracle no higher
+# than [1, 300] gave (.0206 and .0657), and 12 has the lower median (.0195
+# against .0203). That comparison is recorded in BENCH_synth_embedding.json;
+# scripts/solver_chart.py charts solver settings only, and its version at
+# commit b6a1eb1 re-runs the embedding chart.
 _OMEGA_HI = 12.0
 # Each block's depthwise convolution: kernel width 3 at its own dilation, so
 # a block reaches one dilation to each side and the stack 24 frames.

@@ -10,7 +10,7 @@ from latentflow.cvae import LatentConfig, ScoreCondition
 from latentflow.exceptions import ValidationError
 from latentflow.flowmatch import GaussianTransportSpec
 from latentflow.odesolver import SolverConfig
-from latentflow.signals import MelConfig, SingingSpec
+from latentflow.signals import F0ExtractConfig, MelConfig, SingingSpec
 from latentflow.vectorfield import VectorFieldConfig
 from latentflow.wavegen import DecoderConfig, DiscriminatorConfig
 
@@ -29,6 +29,10 @@ CASES = {
     "DiscriminatorConfig": (DiscriminatorConfig, {}, {"stft_hops": (16,)}, "one hop per stft size"),
     "GaussianTransportSpec-zero": (GaussianTransportSpec, {}, {"s": 0.0}, "stds must be positive"),
     "GaussianTransportSpec-negative": (GaussianTransportSpec, {}, {"s": -1.0}, "stds must be positive"),
+    "F0-fmin_zero": (F0ExtractConfig, {}, {"fmin_search": 0.0}, "needs 0 < fmin < fmax"),
+    "F0-fmin_negative": (F0ExtractConfig, {}, {"fmin_search": -50.0}, "needs 0 < fmin < fmax"),
+    "F0-fmin_above_fmax": (F0ExtractConfig, {"fmax_search": 400.0}, {"fmin_search": 500.0}, "needs 0 < fmin < fmax"),
+    "F0-fmin_nan": (F0ExtractConfig, {}, {"fmin_search": float("nan")}, "needs 0 < fmin < fmax"),
 }
 
 
@@ -40,6 +44,12 @@ def test_bad_value_fails_at_construction_and_fields_are_frozen(cls, good, bad, m
     (name, value), = bad.items()
     with pytest.raises(FrozenInstanceError):
         setattr(made, name, value)
+
+
+@pytest.mark.parametrize("notes", [[60], [(60, 4)], [(60, 4, 1, 9)]], ids=["bare_int", "pair", "quadruple"])
+def test_singing_spec_rejects_a_note_that_is_not_a_triple(notes):
+    with pytest.raises(ValidationError, match=r"singing spec: each note must be a \(midi, frames, token_id\) triple"):
+        SingingSpec(notes=notes)
 
 
 def test_containers_are_copied_so_a_caller_cannot_change_them_after_the_check():

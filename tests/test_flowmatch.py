@@ -29,8 +29,9 @@ def test_interpolate_endpoints():
 def test_interpolate_validates():
     with pytest.raises(ValidationError, match="shape"):
         interpolate(np.zeros((2, 3)), np.zeros((3, 2)), 0.5)
-    with pytest.raises(ValidationError, match="t must"):
-        interpolate(np.zeros(2), np.zeros(2), 1.5)
+    for t in (1.5, np.nan, [0.5, np.nan], []):
+        with pytest.raises(ValidationError, match="interpolate: t must"):
+            interpolate(np.zeros(2), np.zeros(2), t)
 
 
 def test_interpolate_is_affine():

@@ -170,10 +170,10 @@ def test_normalized_autocorrelation_matches_a_per_frame_loop():
     assert not got[-4].any()
 
 
-@pytest.mark.parametrize("xcfg", [F0ExtractConfig(fmin_search=0.0), F0ExtractConfig(fmin_search=-50.0),
-                                  F0ExtractConfig(fmin_search=500.0, fmax_search=400.0),
-                                  F0ExtractConfig(fmin_search=900.0, fmax_search=1000.0)],
-                         ids=["fmin_zero", "fmin_negative", "fmin_above_fmax", "no_interior_lag"])
+# An empty range fails when the config is made (tests/test_configs.py); a
+# lag window without an interior lag depends on the sample rate, so only
+# f0_extract can see it.
+@pytest.mark.parametrize("xcfg", [F0ExtractConfig(fmin_search=900.0, fmax_search=1000.0)], ids=["no_interior_lag"])
 def test_f0_extract_rejects_empty_search_ranges(xcfg):
     with pytest.raises(ValidationError, match="f0_extract"):
         f0_extract(np.random.default_rng(0).standard_normal(2000), DESK, xcfg)

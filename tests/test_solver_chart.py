@@ -1,11 +1,12 @@
 """The solver chart, scripts/solver_chart.py, loaded from its path and run
 on one seed and one operation."""
+import contextlib
 import importlib.util
+import io
 import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from latentflow import autodiff as ad
@@ -14,42 +15,48 @@ from latentflow import odesolver, vectorfield
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "solver_chart.py"
 
 
-@pytest.fixture
-def solver_chart(monkeypatch):
+@pytest.fixture(scope="module")
+def solver_chart():
     spec = importlib.util.spec_from_file_location("solver_chart", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    # restored after the test
-    monkeypatch.setattr(vectorfield, "_OMEGA_HI", vectorfield._OMEGA_HI)
-    monkeypatch.setattr(vectorfield, "time_frequencies", vectorfield.time_frequencies)
-    yield module
-    vectorfield.time_frequencies.cache_clear()
+    return module
 
 
-def test_chart_prints_one_row_per_setting_at_the_charted_top_frequency(solver_chart, capsys):
-    assert vectorfield.time_frequencies(16)[-1] == pytest.approx(vectorfield._OMEGA_HI)  # cached before the chart
-    argv = ["--seeds", "1", "--ops", "1", "--omega-hi", "geometric:300", "250"]
-    assert solver_chart.main(argv) == 0
-    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert vectorfield.time_frequencies(16)[-1] == pytest.approx(250.0)  # the fit saw the charted frequency
+@pytest.fixture(scope="module")
+def chart_run(solver_chart):
+    """The package's cached frequencies before the chart, and its rows."""
+    frequencies = vectorfield.time_frequencies(16)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert solver_chart.main(["--seeds", "1", "--ops", "1"]) == 0
+    return frequencies, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def test_chart_prints_one_row_per_setting_then_one_summary_per_setting(solver_chart, chart_run):
+    _, rows = chart_run
     n = len(solver_chart.SETTINGS)
-    rows, summary = rows[:2 * n], rows[2 * n:]
-    assert [(r["tol"], r["max_step"]) for r in rows] == solver_chart.SETTINGS * 2
+    rows, summary = rows[:n], rows[n:]
+    assert [(r["tol"], r["max_step"]) for r in rows] == solver_chart.SETTINGS
     for r in rows:
         assert (r["fit_seed"], r["seed"]) == (0, 1)
         assert r["nfe"] % 6 == 1  # one call for the first stage, then six per step
         assert 0 <= r["rejected"] < r["nfe"] / 6
         assert math.isfinite(r["w1_oracle"]) and r["w1_oracle"] > 0
-    # one summary row per embedding and setting; with one fit seed it
-    # repeats that fit's row, and the first embedding is its own baseline
-    assert [(r["embedding"], r["omega_hi"]) for r in rows] == [("geometric", 300.0)] * n + [("harmonic", 250.0)] * n
-    for r, s in zip(rows, summary):
-        assert (s["embedding"], s["omega_hi"], s["tol"], s["max_step"], s["fit_seeds"]) == (
-            r["embedding"], r["omega_hi"], r["tol"], r["max_step"], [0])
+    # with one fit seed each summary repeats that fit's row
+    for r, s in zip(rows, summary, strict=True):
+        assert (s["tol"], s["max_step"], s["fit_seeds"]) == (r["tol"], r["max_step"], [0])
         assert (s["nfe"], s["rejected"], s["w1_median"], s["w1_worst"]) == (
             r["nfe"], r["rejected"], r["w1_oracle"], r["w1_oracle"])
-    for s in summary[:n]:
-        assert (s["ratio_median"], s["ratio_min"], s["ratio_max"], s["meets_rule"]) == (1.0, 1.0, 1.0, True)
+    default = odesolver.SolverConfig()
+    s = summary[solver_chart.SETTINGS.index((default.abs_tol, default.max_step))]
+    assert (s["ratio_median"], s["ratio_min"], s["ratio_max"], s["meets_rule"]) == (1.0, 1.0, 1.0, True)
+
+
+def test_chart_leaves_the_packages_time_embedding_as_it_found_it(chart_run):
+    frequencies, _ = chart_run
+    assert vectorfield.time_frequencies(16) is frequencies
+    assert vectorfield._OMEGA_HI == 12.0
 
 
 def test_defaults_skip_the_rejected_first_steps_on_the_benchmarks_field(solver_chart):
@@ -58,7 +65,7 @@ def test_defaults_skip_the_rejected_first_steps_on_the_benchmarks_field(solver_c
     # steps at the 0.34 cap, with no rejected step. With the former time
     # embedding (frequencies geometric on [1, 300]) they took 31-49 NFE
     # (mean 34.6) with 1-3 rejected steps, all at t=0.
-    field = solver_chart.fit(None, 0)
+    field = solver_chart.workloads.fit_field(0)[0]
     stats = []
     with ad.no_grad():
         for z_p in solver_chart.prior_samples(1, 5):
@@ -67,18 +74,26 @@ def test_defaults_skip_the_rejected_first_steps_on_the_benchmarks_field(solver_c
     assert [s.rejected for s in stats] == [0] * 5
 
 
-def test_summary_takes_each_fits_mean_over_input_seeds_and_its_ratio_to_the_first_embedding(solver_chart):
-    def row(emb, fit_seed, seed, w1):
-        return {"embedding": emb, "omega_hi": 1.0, "fit_seed": fit_seed, "seed": seed, "tol": 5e-4,
-                "max_step": 0.34, "nfe": 7.0 if emb == "harmonic" else 19.0, "rejected": 0.0, "w1_oracle": w1}
+def test_summary_takes_each_fits_mean_over_input_seeds_and_its_ratio_to_the_default_setting(solver_chart):
+    default = odesolver.SolverConfig()
 
-    base = [row("geometric", 0, 1, 1.0), row("geometric", 0, 2, 3.0), row("geometric", 1, 1, 4.0),
-            row("geometric", 1, 2, 4.0), row("geometric", 2, 1, 1.0), row("geometric", 2, 2, 1.0)]
-    new = [row("harmonic", 0, 1, 1.0), row("harmonic", 0, 2, 1.0), row("harmonic", 1, 1, 2.0),
-           row("harmonic", 1, 2, 2.0), row("harmonic", 2, 1, 3.0), row("harmonic", 2, 2, 3.0)]
-    first, second = solver_chart.summaries(base + new)
-    assert (first["w1_median"], first["w1_worst"], first["worst_fit_seed"]) == (2.0, 4.0, 1)
-    assert (second["nfe"], second["w1_median"], second["w1_worst"], second["worst_fit_seed"]) == (7.0, 2.0, 3.0, 2)
-    # fit ratios 1 / 2, 2 / 4 and 3 / 1
-    assert (second["ratio_median"], second["ratio_min"], second["ratio_max"]) == (0.5, 0.5, 3.0)
-    assert second["meets_rule"]
+    def row(max_step, fit_seed, seed, w1):
+        return {"fit_seed": fit_seed, "seed": seed, "tol": default.abs_tol, "max_step": max_step,
+                "nfe": 13.0 if max_step == 0.5 else 19.0, "rejected": 0.0, "w1_oracle": w1}
+
+    # the other setting comes first: the baseline is the default, not the first row
+    other = [row(0.5, 0, 1, 1.0), row(0.5, 0, 2, 1.0), row(0.5, 1, 1, 2.0),
+             row(0.5, 1, 2, 2.0), row(0.5, 2, 1, 3.0), row(0.5, 2, 2, 3.0)]
+    base = [row(default.max_step, 0, 1, 1.0), row(default.max_step, 0, 2, 3.0), row(default.max_step, 1, 1, 4.0),
+            row(default.max_step, 1, 2, 4.0), row(default.max_step, 2, 1, 1.0), row(default.max_step, 2, 2, 1.0)]
+    at_other, at_default = solver_chart.summaries(other + base)
+
+    def fields(row, *keys):
+        return tuple(row[k] for k in keys)
+
+    assert fields(at_default, "max_step", "nfe", "w1_median", "w1_worst", "worst_fit_seed") == (
+        default.max_step, 19.0, 2.0, 4.0, 1)
+    assert fields(at_default, "ratio_median", "ratio_min", "ratio_max", "meets_rule") == (1.0, 1.0, 1.0, True)
+    assert fields(at_other, "nfe", "w1_median", "w1_worst", "worst_fit_seed") == (13.0, 2.0, 3.0, 2)
+    # fit means 1, 2 and 3 against 2, 4 and 1 at the default
+    assert fields(at_other, "ratio_median", "ratio_min", "ratio_max", "meets_rule") == (0.5, 0.5, 3.0, True)
