@@ -187,17 +187,18 @@ def _candidates(note_token_counts: tuple, note_frame_counts: tuple) -> np.ndarra
     return cands
 
 
-def brute_force_align(ll, nb: NoteBoundaryConstraint, max_tokens: int = 6, max_frames: int = 12):
+def brute_force_align(ll, nb: NoteBoundaryConstraint):
     """Exact optimum by enumerating every feasible duration assignment.
 
     Ties break exactly like mas_align: among equal scores, prefer the
     path maximizing durations read from the last token backward (i.e.
-    earliest boundaries). Guarded to small instances.
+    earliest boundaries). Guarded to instances of at most 6 tokens by 12
+    frames.
     """
     ll = _check_instance(ll, nb)
     n, t = ll.shape
-    if n > max_tokens or t > max_frames:
-        raise ValidationError(f"brute_force_align: instance {n}x{t} exceeds guard {max_tokens}x{max_frames}")
+    if n > 6 or t > 12:  # the candidates grow combinatorially with the instance
+        raise ValidationError(f"brute_force_align: instance {n}x{t} exceeds guard 6x12")
     cands = _candidates(tuple(nb.note_token_counts.tolist()), tuple(nb.note_frame_counts.tolist()))
     scores = path_score(ll, cands)
     best = int(np.argmax(scores))  # the first maximum holds the largest tie key

@@ -106,12 +106,6 @@ def log(x) -> Tensor | np.ndarray:
     return _make("log", out, (x, lambda g: g / xv))
 
 
-def sqrt(x) -> Tensor | np.ndarray:
-    xv = value(x)
-    out = np.sqrt(xv)
-    return _make("sqrt", out, (x, lambda g: g * (0.5 / out)))
-
-
 def square(x) -> Tensor | np.ndarray:
     xv = value(x)
     return _make("square", xv * xv, (x, lambda g: 2.0 * xv * g))

@@ -34,6 +34,17 @@ class ParamStore:
         self._params[name] = t
         return t
 
+    def conv(
+        self, name: str, cout: int, cin: int, kernel: int, rng: np.random.Generator | None = None
+    ) -> tuple[Tensor, Tensor]:
+        """Weight and bias of a ``conv1d`` layer, created in that order as
+        ``name.w`` [cout, cin, kernel] and ``name.b`` [cout]. The weight is
+        drawn N(0, 1/(cin * kernel)) from ``rng``, or zeros without one; the
+        bias is zeros."""
+        shape = (cout, cin, kernel)
+        w = np.zeros(shape) if rng is None else rng.standard_normal(shape) / np.sqrt(cin * kernel)
+        return self.create(f"{name}.w", w), self.create(f"{name}.b", np.zeros(cout))
+
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 

@@ -115,14 +115,8 @@ class _ResidualConvStack:
     def __init__(self, store, prefix, channels, blocks, rng):
         self.blocks = []
         for i in range(blocks):
-            w1 = store.create(
-                f"{prefix}res{i}.w1", rng.standard_normal((channels, channels, _KERNEL)) / np.sqrt(channels * _KERNEL)
-            )
-            b1 = store.create(f"{prefix}res{i}.b1", np.zeros(channels))
-            w2 = store.create(
-                f"{prefix}res{i}.w2", rng.standard_normal((channels, channels, 1)) / np.sqrt(channels)
-            )
-            b2 = store.create(f"{prefix}res{i}.b2", np.zeros(channels))
+            w1, b1 = store.conv(f"{prefix}res{i}.conv1", channels, channels, _KERNEL, rng)
+            w2, b2 = store.conv(f"{prefix}res{i}.conv2", channels, channels, 1, rng)
             self.blocks.append((w1, b1, w2, b2))
 
     def __call__(self, x):
@@ -143,11 +137,9 @@ class PosteriorEncoder:
     def __init__(self, cfg: LatentConfig, store: ad.ParamStore, rng: np.random.Generator):
         self.cfg = cfg
         h = cfg.hidden
-        self.pre_w = store.create("post.pre.w", rng.standard_normal((h, cfg.mel_bands, 1)) / np.sqrt(cfg.mel_bands))
-        self.pre_b = store.create("post.pre.b", np.zeros(h))
+        self.pre_w, self.pre_b = store.conv("post.pre", h, cfg.mel_bands, 1, rng)
         self.stack = _ResidualConvStack(store, "post.", h, cfg.blocks, rng)
-        self.head_w = store.create("post.head.w", np.zeros((2 * cfg.channels, h, 1)))
-        self.head_b = store.create("post.head.b", np.zeros(2 * cfg.channels))
+        self.head_w, self.head_b = store.conv("post.head", 2 * cfg.channels, h, 1)
 
     def __call__(self, mel) -> DiagonalGaussianSeq:
         mv = ad.value(mel)
@@ -220,20 +212,16 @@ class PriorEncoder:
     def __init__(self, cfg: LatentConfig, store: ad.ParamStore, rng: np.random.Generator):
         self.cfg = cfg
         h = cfg.hidden
+        # an embedding table, not a conv layer: rows scaled by 0.3
         self.embed = store.create("prior.embed", rng.standard_normal((cfg.vocab_size, cfg.embed_dim)) * 0.3)
         cin = cfg.embed_dim + 2  # embedding + normalized pitch + log duration
-        self.pre_w = store.create("prior.pre.w", rng.standard_normal((h, cin, 1)) / np.sqrt(cin))
-        self.pre_b = store.create("prior.pre.b", np.zeros(h))
+        self.pre_w, self.pre_b = store.conv("prior.pre", h, cin, 1, rng)
         self.token_stack = _ResidualConvStack(store, "prior.tok.", h, cfg.blocks, rng)
-        self.dur_w = store.create("prior.dur.w", np.zeros((1, h, 1)))
-        self.dur_b = store.create("prior.dur.b", np.zeros(1))
-        self.gauss_w = store.create("prior.gauss.w", np.zeros((2 * cfg.channels, h, 1)))
-        self.gauss_b = store.create("prior.gauss.b", np.zeros(2 * cfg.channels))
+        self.dur_w, self.dur_b = store.conv("prior.dur", 1, h, 1)
+        self.gauss_w, self.gauss_b = store.conv("prior.gauss", 2 * cfg.channels, h, 1)
         self.frame_stack = _ResidualConvStack(store, "prior.frame.", h, cfg.frame_blocks, rng)
-        self.f0_w = store.create("prior.f0.w", np.zeros((1, h, 1)))
-        self.f0_b = store.create("prior.f0.b", np.zeros(1))
-        self.mel_w = store.create("prior.mel.w", np.zeros((cfg.mel_bands, h, 1)))
-        self.mel_b = store.create("prior.mel.b", np.zeros(cfg.mel_bands))
+        self.f0_w, self.f0_b = store.conv("prior.f0", 1, h, 1)
+        self.mel_w, self.mel_b = store.conv("prior.mel", cfg.mel_bands, h, 1)
 
     def __call__(self, cond: ScoreCondition, durations: np.ndarray | None = None) -> PriorEncoderOutput:
         """``durations``: ground-truth frame counts per token (training);

@@ -59,10 +59,15 @@ def cfm_loss(field: VelocityField, z_p, z_q, t, cond=None, train: bool = True, r
     return ad.mean(ad.square(ad.sub(v, u)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     lr: float = 2e-4
     lr_final: float | None = None  # if set, cosine-decay lr -> lr_final
+
+    def __post_init__(self):
+        rates = (self.lr,) if self.lr_final is None else (self.lr, self.lr_final)
+        if not all(0 < x < np.inf for x in rates):  # a NaN fails it too
+            raise ValidationError(f"optimizer: learning rates must be finite and > 0, got {self.lr}, {self.lr_final}")
 
     def lr_at(self, step: int, total: int) -> float:
         if self.lr_final is None or total <= 1:
@@ -114,8 +119,10 @@ class GaussianTransportSpec:
     r: float = 0.5
 
     def __post_init__(self):
-        if self.s <= 0 or self.r <= 0:
-            raise ValidationError(f"gaussian transport: stds must be positive, got s={self.s}, r={self.r}")
+        if not (0 < self.s < np.inf and 0 < self.r < np.inf):  # a NaN fails it too
+            raise ValidationError(f"gaussian transport: stds must be positive and finite, got s={self.s}, r={self.r}")
+        if not np.isfinite([self.a, self.b]).all():
+            raise ValidationError(f"gaussian transport: means must be finite, got a={self.a}, b={self.b}")
 
     def path_mean(self, t):
         return (1.0 - t) * self.a + t * self.b
@@ -129,8 +136,9 @@ class GaussianTransportSpec:
         cov = t * self.r**2 - (1.0 - t) * self.s**2
         return (self.s**2 + self.r**2) - cov**2 / self.path_var(t)
 
-    def loss_floor(self, n_grid: int = 10001) -> float:
-        ts = np.linspace(0.0, 1.0, n_grid)
+    def loss_floor(self) -> float:
+        """Trapezoid rule on 10001 points of t."""
+        ts = np.linspace(0.0, 1.0, 10001)
         return float(np.trapezoid(self.conditional_velocity_variance(ts), ts))
 
     def sample_pair(self, rng: np.random.Generator, n: int, dim: int):

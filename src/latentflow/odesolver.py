@@ -57,8 +57,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.max_step <= 1.0:
             raise ValidationError(f"solver: max_step must be in (0, 1], got {self.max_step}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValidationError("solver: tolerances must be positive")
+        if not (self.abs_tol > 0 and self.rel_tol > 0):  # a NaN fails it too
+            raise ValidationError(f"solver: tolerances must be positive, got {self.abs_tol} and {self.rel_tol}")
 
 
 @dataclass

@@ -32,8 +32,8 @@ class MelConfig:
     fmax: float = 11025.0
 
     def __post_init__(self):
-        if self.fmax > self.sample_rate / 2:
-            raise ValidationError(f"mel: fmax {self.fmax} exceeds Nyquist {self.sample_rate / 2}")
+        if not 0 < self.fmax <= self.sample_rate / 2:  # a NaN fails it too
+            raise ValidationError(f"mel: fmax {self.fmax} is not positive or exceeds Nyquist {self.sample_rate / 2}")
         if self.window_size > self.fft_size:
             raise ValidationError(f"mel: window {self.window_size} exceeds fft size {self.fft_size}")
         if self.hop_size <= 0 or self.window_size <= 0:
@@ -200,8 +200,11 @@ class SingingSpec:
         if not all(isinstance(n, tuple) and len(n) == 3 for n in notes):
             raise ValidationError("singing spec: each note must be a (midi, frames, token_id) triple")
         object.__setattr__(self, "notes", notes)
-        if self.vibrato_rate_hz < 0 or self.vibrato_depth_cents < 0:
-            raise ValidationError("singing spec: vibrato rate/depth must be >= 0")
+        # a NaN fails both checks
+        if not all(0 <= x < np.inf for x in (self.vibrato_rate_hz, self.vibrato_depth_cents, self.noise_level)):
+            raise ValidationError("singing spec: vibrato rate/depth and noise level must be finite and >= 0")
+        if not np.all(np.isfinite(np.append(self.vibrato_phase, self.harmonic_amps))):
+            raise ValidationError("singing spec: vibrato phase and harmonic amplitudes must be finite")
         if not self.notes or any(d < 1 for _, d, _ in self.notes):
             raise ValidationError("singing spec: need notes with durations >= 1 frame")
 

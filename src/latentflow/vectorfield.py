@@ -85,29 +85,15 @@ class VelocityField:
         self.cfg = cfg
         self.store = store
         c, h = cfg.latent_channels, cfg.hidden
-        cin = c + cfg.cond_channels
-
-        def mk(name, shape, scale=None):
-            if scale is None:
-                fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
-                scale = 1.0 / np.sqrt(max(fan_in, 1))
-            return store.create("vf." + name, rng.standard_normal(shape) * scale)
-
-        self.pre_w = mk("pre.w", (h, cin, 1))
-        self.pre_b = store.create("vf.pre.b", np.zeros(h))
+        self.pre_w, self.pre_b = store.conv("vf.pre", h, c + cfg.cond_channels, 1, rng)
         self.blocks = []
         for i, d in enumerate(_DILATIONS):
-            blk = {
-                "time_w": mk(f"block{i}.time.w", (cfg.time_embed_dim, h)),
-                "dw_w": mk(f"block{i}.dw.w", (h, 1, _KERNEL)),
-                "dw_b": store.create(f"vf.block{i}.dw.b", np.zeros(h)),
-                "pw_w": mk(f"block{i}.pw.w", (h, h, 1)),
-                "pw_b": store.create(f"vf.block{i}.pw.b", np.zeros(h)),
-                "dilation": d,
-            }
-            self.blocks.append(blk)
-        self.out_w = store.create("vf.out.w", np.zeros((c, h, 1)))
-        self.out_b = store.create("vf.out.b", np.zeros(c))
+            # a matmul weight [time_embed_dim, hidden], scaled by 1/sqrt(hidden)
+            time_w = store.create(f"vf.block{i}.time.w", rng.standard_normal((cfg.time_embed_dim, h)) / np.sqrt(h))
+            dw_w, dw_b = store.conv(f"vf.block{i}.dw", h, 1, _KERNEL, rng)
+            pw_w, pw_b = store.conv(f"vf.block{i}.pw", h, h, 1, rng)
+            self.blocks.append((time_w, dw_w, dw_b, pw_w, pw_b, d))
+        self.out_w, self.out_b = store.conv("vf.out", c, h, 1)
 
     def __call__(self, z, t, cond=None, train: bool = False, rng: np.random.Generator | None = None):
         """Velocity with the same shape as ``z``.
@@ -142,11 +128,11 @@ class VelocityField:
             raise ValidationError(f"vector field: {te.shape[0]} time values for batch {B}")
 
         h = ad.conv1d(x, self.pre_w, self.pre_b)
-        for blk in self.blocks:
-            tb = ad.reshape(ad.matmul(te, blk["time_w"]), (B, cfg.hidden, 1))
+        for time_w, dw_w, dw_b, pw_w, pw_b, d in self.blocks:
+            tb = ad.reshape(ad.matmul(te, time_w), (B, cfg.hidden, 1))
             xi = ad.add_frame_bias(h, tb)
-            y = ad.conv1d(xi, blk["dw_w"], blk["dw_b"], dilation=blk["dilation"], groups=cfg.hidden)
-            y = ad.conv1d(y, blk["pw_w"], blk["pw_b"])
+            y = ad.conv1d(xi, dw_w, dw_b, dilation=d, groups=cfg.hidden)
+            y = ad.conv1d(y, pw_w, pw_b)
             y = ad.leaky_relu(y)
             y = ad.dropout(y, cfg.dropout_p, rng=rng, training=train)
             h = ad.add(xi, y)

@@ -59,29 +59,23 @@ class WaveDecoder:
         self.cfg = cfg
         h = cfg.hidden
         cin = cfg.latent_channels + 1
-        self.pre_w = store.create("dec.pre.w", rng.standard_normal((h, cin, 3)) / np.sqrt(3 * cin))
-        self.pre_b = store.create("dec.pre.b", np.zeros(h))
+        self.pre_w, self.pre_b = store.conv("dec.pre", h, cin, 3, rng)
         self.stages = []
         ch = h
         for i, (rate, kernel) in enumerate(zip(cfg.upsample_rates, cfg.upsample_kernels)):
             out_ch = max(2, ch // 2)
+            # conv_transpose1d's weight layout, [Cin, Cout, K], not conv1d's
             up_w = store.create(
                 f"dec.up{i}.w", rng.standard_normal((ch, out_ch, kernel)) / np.sqrt(kernel * ch)
             )
             up_b = store.create(f"dec.up{i}.b", np.zeros(out_ch))
             res = []
             for j, d in enumerate(cfg.resblock_dilations):
-                rw = store.create(
-                    f"dec.up{i}.res{j}.w",
-                    rng.standard_normal((out_ch, out_ch, cfg.resblock_kernel))
-                    / np.sqrt(cfg.resblock_kernel * out_ch),
-                )
-                rb = store.create(f"dec.up{i}.res{j}.b", np.zeros(out_ch))
+                rw, rb = store.conv(f"dec.up{i}.res{j}", out_ch, out_ch, cfg.resblock_kernel, rng)
                 res.append((rw, rb, d))
             self.stages.append((up_w, up_b, rate, res))
             ch = out_ch
-        self.post_w = store.create("dec.post.w", rng.standard_normal((1, ch, 3)) / np.sqrt(3 * ch))
-        self.post_b = store.create("dec.post.b", np.zeros(1))
+        self.post_w, self.post_b = store.conv("dec.post", 1, ch, 3, rng)
 
     def __call__(self, z, f0_hz: np.ndarray):
         zv = ad.value(z)
@@ -136,12 +130,10 @@ class _ConvStack:
         ch = cin
         for i, (k, s, d) in enumerate(specs):
             out = channels * (2 if i else 1)
-            w = store.create(prefix + f"c{i}.w", rng.standard_normal((out, ch, k)) / np.sqrt(k * ch))
-            b = store.create(prefix + f"c{i}.b", np.zeros(out))
+            w, b = store.conv(f"{prefix}c{i}", out, ch, k, rng)
             self.layers.append((w, b, s, d))
             ch = out
-        self.score_w = store.create(prefix + "score.w", rng.standard_normal((1, ch, 3)) / np.sqrt(3 * ch))
-        self.score_b = store.create(prefix + "score.b", np.zeros(1))
+        self.score_w, self.score_b = store.conv(prefix + "score", 1, ch, 3, rng)
 
     def __call__(self, x):
         features = []

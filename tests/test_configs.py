@@ -8,20 +8,36 @@ import pytest
 from latentflow.alignment import NoteBoundaryConstraint
 from latentflow.cvae import LatentConfig, ScoreCondition
 from latentflow.exceptions import ValidationError
-from latentflow.flowmatch import GaussianTransportSpec
+from latentflow.flowmatch import GaussianTransportSpec, OptimizerConfig
 from latentflow.odesolver import SolverConfig
 from latentflow.signals import F0ExtractConfig, MelConfig, SingingSpec
 from latentflow.vectorfield import VectorFieldConfig
 from latentflow.wavegen import DecoderConfig, DiscriminatorConfig
 
+_NAN = float("nan")
+_NOTES = {"notes": [(60, 4, 1)]}
 _SCORE = {"tokens": [1, 2], "note_pitch": [60, 61], "note_duration": [2, 3], "note_id": [0, 1]}
 
 # (class, valid arguments, one bad value, the message it raises)
 CASES = {
     "MelConfig": (MelConfig, {}, {"fmax": 20000.0}, "exceeds Nyquist"),
-    "SingingSpec": (SingingSpec, {"notes": [(60, 4, 1)]}, {"notes": []}, "durations >= 1 frame"),
+    "MelConfig-fmax_nan": (MelConfig, {}, {"fmax": _NAN}, "is not positive or exceeds Nyquist"),
+    "MelConfig-fmax_negative": (MelConfig, {}, {"fmax": -100.0}, "is not positive or exceeds Nyquist"),
+    "SingingSpec": (SingingSpec, _NOTES, {"notes": []}, "durations >= 1 frame"),
+    "SingingSpec-rate_nan": (SingingSpec, _NOTES, {"vibrato_rate_hz": _NAN}, "must be finite and >= 0"),
+    "SingingSpec-depth_nan": (SingingSpec, _NOTES, {"vibrato_depth_cents": _NAN}, "must be finite and >= 0"),
+    "SingingSpec-noise_nan": (SingingSpec, _NOTES, {"noise_level": _NAN}, "must be finite and >= 0"),
+    "SingingSpec-noise_negative": (SingingSpec, _NOTES, {"noise_level": -0.01}, "must be finite and >= 0"),
+    "SingingSpec-phase_nan": (SingingSpec, _NOTES, {"vibrato_phase": _NAN}, "phase and harmonic amplitudes must be"),
+    "SingingSpec-amps_nan": (SingingSpec, _NOTES, {"harmonic_amps": (1.0, _NAN)}, "phase and harmonic amplitudes"),
     "SolverConfig-max_step": (SolverConfig, {}, {"max_step": 0.0}, "max_step must be in"),
     "SolverConfig-abs_tol": (SolverConfig, {}, {"abs_tol": -1.0}, "tolerances must be positive"),
+    "SolverConfig-abs_tol_nan": (SolverConfig, {}, {"abs_tol": _NAN}, "tolerances must be positive"),
+    "SolverConfig-rel_tol_nan": (SolverConfig, {}, {"rel_tol": _NAN}, "tolerances must be positive"),
+    "OptimizerConfig-lr_negative": (OptimizerConfig, {}, {"lr": -1.0}, "learning rates must be finite and > 0"),
+    "OptimizerConfig-lr_nan": (OptimizerConfig, {}, {"lr": _NAN}, "learning rates must be finite and > 0"),
+    "OptimizerConfig-lr_final_nan": (OptimizerConfig, {}, {"lr_final": _NAN}, "learning rates must be finite and > 0"),
+    "OptimizerConfig-lr_final_zero": (OptimizerConfig, {}, {"lr_final": 0.0}, "learning rates must be finite and > 0"),
     "LatentConfig": (LatentConfig, {}, {"hidden": 0}, "hidden must be >= 1"),
     "ScoreCondition": (ScoreCondition, _SCORE, {"tokens": [1]}, "share one nonzero length"),
     "VectorFieldConfig": (VectorFieldConfig, {}, {"dropout_p": 1.0}, "dropout must be in"),
@@ -29,6 +45,10 @@ CASES = {
     "DiscriminatorConfig": (DiscriminatorConfig, {}, {"stft_hops": (16,)}, "one hop per stft size"),
     "GaussianTransportSpec-zero": (GaussianTransportSpec, {}, {"s": 0.0}, "stds must be positive"),
     "GaussianTransportSpec-negative": (GaussianTransportSpec, {}, {"s": -1.0}, "stds must be positive"),
+    "GaussianTransportSpec-s_nan": (GaussianTransportSpec, {}, {"s": _NAN}, "stds must be positive"),
+    "GaussianTransportSpec-r_nan": (GaussianTransportSpec, {}, {"r": _NAN}, "stds must be positive"),
+    "GaussianTransportSpec-a_nan": (GaussianTransportSpec, {}, {"a": _NAN}, "means must be finite"),
+    "GaussianTransportSpec-b_inf": (GaussianTransportSpec, {}, {"b": float("inf")}, "means must be finite"),
     "F0-fmin_zero": (F0ExtractConfig, {}, {"fmin_search": 0.0}, "needs 0 < fmin < fmax"),
     "F0-fmin_negative": (F0ExtractConfig, {}, {"fmin_search": -50.0}, "needs 0 < fmin < fmax"),
     "F0-fmin_above_fmax": (F0ExtractConfig, {"fmax_search": 400.0}, {"fmin_search": 500.0}, "needs 0 < fmin < fmax"),
