@@ -4,9 +4,9 @@
 
 For each seed, builds the benchmark's synth inputs (corpus and prior) and
 refines the prior samples of the first ``--ops`` utterances with dopri5 at
-each ``(tolerance, max_step)`` setting, the tolerance used both absolute and
-relative, through a velocity field fitted to the Gaussian transport oracle
-by ``workloads.fit_field(fit_seed)``. ``--fit-seeds`` names those fits (the
+each ``(tol, max_step)`` setting, ``SolverConfig.tol`` being both the
+absolute and the relative tolerance, through a velocity field fitted to the
+Gaussian transport oracle by ``workloads.fit_field(fit_seed)``. ``--fit-seeds`` names those fits (the
 benchmark's own is ``workloads.MODEL_SEED``). Every fit uses the package's
 own time embedding. The comparison of time embeddings that chose it is
 recorded in BENCH_synth_embedding.json (its ``chart.command``); it can be
@@ -24,7 +24,7 @@ solve takes about 300 NFE per utterance on the benchmark's field.
 Then, for each setting, it prints one summary row across the fit seeds. A
 fit's W1 is the mean of its rows' over the input seeds, and its ratio is
 that W1 over the same fit's at the package default, ``SolverConfig()``'s
-``(abs_tol, max_step)``. The row gives the mean NFE and rejected steps, the
+``(tol, max_step)``. The row gives the mean NFE and rejected steps, the
 median and the worst fit's W1, and the median and range of the ratios.
 ``meets_rule`` says whether the median and the worst fit are no higher than
 at the default and the median ratio is at most 1.
@@ -76,7 +76,7 @@ def prior_samples(seed: int, n: int) -> list[np.ndarray]:
 
 def refine(field, zs, tol: float, max_step: float):
     """The refined latents, and the mean NFE and rejected steps per solve."""
-    cfg = odesolver.SolverConfig(abs_tol=tol, rel_tol=tol, max_step=max_step)
+    cfg = odesolver.SolverConfig(tol=tol, max_step=max_step)
     out, nfe, rejected = [], [], []
     with ad.no_grad():
         for z_p in zs:
@@ -103,7 +103,7 @@ def summaries(rows: list[dict]) -> list[dict]:
         key = r["tol"], r["max_step"]
         per_fit.setdefault(key, {}).setdefault(r["fit_seed"], []).append(r["w1_oracle"])
         cost.setdefault(key, []).append((r["nfe"], r["rejected"]))
-    base = {f: float(np.mean(v)) for f, v in per_fit[default.abs_tol, default.max_step].items()}
+    base = {f: float(np.mean(v)) for f, v in per_fit[default.tol, default.max_step].items()}
     out = []
     for setting, fits in per_fit.items():
         w1 = {f: float(np.mean(v)) for f, v in fits.items()}

@@ -116,15 +116,12 @@ def absolute(x) -> Tensor | np.ndarray:
     return _make("abs", np.abs(xv), (x, lambda g: g * np.sign(xv)))
 
 
-def clamp(x, lo: float | None = None, hi: float | None = None) -> Tensor | np.ndarray:
-    """x clipped to [lo, hi], a bound of None leaving its side open; the
-    gradient passes where x lies strictly inside the bounds given."""
+def clamp(x, lo: float, hi: float | None = None) -> Tensor | np.ndarray:
+    """x clipped to [lo, hi], no upper bound when hi is None; the gradient
+    passes where x lies strictly inside the bounds given."""
     xv = value(x)
     out = np.clip(xv, lo, hi)
-    if lo is None:
-        inside = True if hi is None else xv < hi
-    else:
-        inside = xv > lo if hi is None else (xv > lo) & (xv < hi)
+    inside = xv > lo if hi is None else (xv > lo) & (xv < hi)
     # g where inside, else 0, as a product: np.where's values up to the sign
     # of a zero, without its slow select
     return _make("clamp", out, (x, lambda g: g * inside))
@@ -246,12 +243,11 @@ def take_rows(w, ids) -> Tensor | np.ndarray:
 
 def matmul(a, b) -> Tensor | np.ndarray:
     av, bv = value(a), value(b)
-    if av.ndim != 2 or bv.ndim not in (1, 2):
-        raise ValidationError(f"matmul: unsupported operand ranks {av.ndim} and {bv.ndim}")
+    if av.ndim != 2 or bv.ndim != 2:
+        raise ValidationError(f"matmul: operands must be 2-D, got ranks {av.ndim} and {bv.ndim}")
     if av.shape[1] != bv.shape[0]:
         raise ValidationError(f"matmul: inner dims disagree, {av.shape} @ {bv.shape}")
-    ga = (lambda g: g @ bv.T) if bv.ndim == 2 else (lambda g: np.outer(g, bv))
-    return _make("matmul", av @ bv, (a, ga), (b, lambda g: av.T @ g))
+    return _make("matmul", av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
 
 def add_frame_bias(x, b) -> Tensor | np.ndarray:

@@ -67,6 +67,14 @@ class DiagonalGaussianSeq:
         return DiagonalGaussianSeq(np.array(ad.value(self.mean)), np.array(ad.value(self.log_var)))
 
 
+def _gaussian_head(out, channels: int) -> DiagonalGaussianSeq:
+    """A head's [2 * channels, T] output as a Gaussian: the first rows are
+    the mean, the rest the log-variance, clamped."""
+    mean = ad.narrow(out, 0, 0, channels)
+    log_var = ad.clamp(ad.narrow(out, 0, channels, channels), _LOG_VAR_MIN, _LOG_VAR_MAX)
+    return DiagonalGaussianSeq(mean, log_var)
+
+
 def sample_reparam(g: DiagonalGaussianSeq, rng: np.random.Generator):
     """z = mean + exp(log_var / 2) * eps with eps ~ N(0, I).
 
@@ -151,10 +159,7 @@ class PosteriorEncoder:
         h = ad.conv1d(x, self.pre_w, self.pre_b)
         h = self.stack(h)
         out = ad.conv1d(h, self.head_w, self.head_b)
-        out = ad.reshape(out, (2 * self.cfg.channels, mv.shape[1]))
-        mean = ad.narrow(out, 0, 0, self.cfg.channels)
-        log_var = ad.clamp(ad.narrow(out, 0, self.cfg.channels, self.cfg.channels), _LOG_VAR_MIN, _LOG_VAR_MAX)
-        return DiagonalGaussianSeq(mean, log_var)
+        return _gaussian_head(ad.reshape(out, (2 * self.cfg.channels, mv.shape[1])), self.cfg.channels)
 
 
 class PriorEncoderOutput:
@@ -242,9 +247,7 @@ class PriorEncoder:
 
         log_dur = ad.reshape(ad.conv1d(h, self.dur_w, self.dur_b), (n,))
         gauss = ad.reshape(ad.conv1d(h, self.gauss_w, self.gauss_b), (2 * cfg.channels, n))
-        tok_mean = ad.narrow(gauss, 0, 0, cfg.channels)
-        tok_log_var = ad.clamp(ad.narrow(gauss, 0, cfg.channels, cfg.channels), _LOG_VAR_MIN, _LOG_VAR_MAX)
-        token_gaussian = DiagonalGaussianSeq(tok_mean, tok_log_var)
+        token_gaussian = _gaussian_head(gauss, cfg.channels)
 
         if durations is None:
             durations = decode_durations(log_dur)
@@ -253,9 +256,9 @@ class PriorEncoder:
             raise ValidationError(f"prior encoder: {len(durations)} durations for {n} tokens")
         t_frames = int(durations.sum())
 
-        frame_mean = expand_to_frames(tok_mean, durations)
-        frame_log_var = expand_to_frames(tok_log_var, durations)
-        frame_gaussian = DiagonalGaussianSeq(frame_mean, frame_log_var)
+        frame_gaussian = DiagonalGaussianSeq(
+            expand_to_frames(token_gaussian.mean, durations), expand_to_frames(token_gaussian.log_var, durations)
+        )
 
         hf = expand_to_frames(ad.reshape(h, (cfg.hidden, n)), durations)
         hf = self.frame_stack(ad.reshape(hf, (1, cfg.hidden, t_frames)))

@@ -81,8 +81,8 @@ def train_cfm(
     store: ad.ParamStore,
     steps: int,
     batch_size: int,
+    rng: np.random.Generator,
     opt: OptimizerConfig | None = None,
-    rng: np.random.Generator | None = None,
 ) -> list[float]:
     """Adam-train a velocity field on endpoint pairs from ``sampler``.
 
@@ -91,7 +91,6 @@ def train_cfm(
     the per-step loss curve; aborts on NaN with the offending step index.
     """
     opt = opt or OptimizerConfig()
-    rng = rng if rng is not None else np.random.default_rng(0)
     losses: list[float] = []
     for step in range(steps):
         z_p, z_q, cond = sampler(rng, batch_size)

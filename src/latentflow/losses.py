@@ -91,9 +91,9 @@ def mel_reconstruction(y_ref, y_gen, cfg: MelConfig) -> ad.Tensor | np.ndarray:
 
 
 def dsp_consistency(y_dsp, y_ref, cfg: MelConfig) -> ad.Tensor | np.ndarray:
-    """Mel L1 anchoring the signal-processing branch to the target, carrying
-    its weight of 45 internally."""
-    return ad.mul(mel_reconstruction(y_ref, y_dsp, cfg), 45.0)
+    """Mel L1 anchoring the signal-processing branch to the target:
+    ``mel_reconstruction`` with the render in place of the generated wave."""
+    return mel_reconstruction(y_ref, y_dsp, cfg)
 
 
 def aux_prediction(true_log_f0, true_mel, pred_log_f0, pred_mel) -> ad.Tensor | np.ndarray:
@@ -108,17 +108,16 @@ def aux_prediction(true_log_f0, true_mel, pred_log_f0, pred_mel) -> ad.Tensor | 
     return ad.add(_mean_sq(ad.sub(pred_log_f0, tf0)), ad.mean(ad.absolute(ad.sub(pred_mel, tmel))))
 
 
-# The generator's parts and their weights, in the order the composite sums
-# them. The dsp part carries its weight of 45 inside dsp_consistency.
-_COMPOSITE_WEIGHTS = {"adv": 1.0, "fm": 2.0, "mel": 45.0, "kl": 1.0, "dsp": 1.0, "dur": 1.0, "aux": 1.0, "cfm": 1.0}
+# The generator's parts and their weights, in the order the composite sums them.
+_COMPOSITE_WEIGHTS = {"adv": 1.0, "fm": 2.0, "mel": 45.0, "kl": 1.0, "dsp": 45.0, "dur": 1.0, "aux": 1.0, "cfm": 1.0}
 
 
 def generator_composite(parts: dict) -> tuple[ad.Tensor | np.ndarray, LossReport]:
     """Weighted sum of all generator terms.
 
-    total = adv + 2 fm + 45 mel + kl + dsp + dur + aux + cfm
-    where the dsp part already carries its own weight. Returns the total
-    and an itemized LossReport whose total is the total's value.
+    total = adv + 2 fm + 45 mel + kl + 45 dsp + dur + aux + cfm
+    Returns the total and an itemized LossReport of the unweighted parts,
+    whose total is the total's value.
     """
     missing = [name for name in _COMPOSITE_WEIGHTS if name not in parts]
     if missing:

@@ -141,17 +141,17 @@ def midi_to_hz(m) -> np.ndarray:
 def dsp_synthesize(
     f0_frames: np.ndarray,
     harmonic_amps: np.ndarray,
-    noise_env,
+    noise_level: float,
     cfg: MelConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Harmonic-plus-noise rendering of a per-frame f0 contour, hop_size
     samples per frame.
 
     Harmonic k gets amplitude harmonic_amps[k-1]; phase accumulates from a
-    sample-interpolated f0. Enveloped white noise is added and the result
-    is peak-normalized to 0.9. Any harmonic at or above the analysis fmax
-    is rejected as aliasing.
+    sample-interpolated f0. White noise of standard deviation noise_level,
+    drawn from ``rng``, is added and the result is peak-normalized to 0.9.
+    Any harmonic at or above the analysis fmax is rejected as aliasing.
     """
     f0_frames = np.asarray(f0_frames, dtype=np.float64)
     harmonic_amps = np.atleast_1d(np.asarray(harmonic_amps, dtype=np.float64))
@@ -168,15 +168,8 @@ def dsp_synthesize(
     for k, a in enumerate(harmonic_amps, start=1):
         if a != 0.0:
             y += a * np.sin(2.0 * np.pi * k * phase_cycles)
-    env = np.asarray(noise_env, dtype=np.float64)
-    if env.ndim == 0:
-        noise_gain = np.full(L, float(env))
-    else:
-        noise_gain = np.interp(np.arange(L), anchors, env)
-    if np.any(noise_gain != 0.0):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        y += noise_gain * rng.standard_normal(L)
+    if noise_level != 0.0:
+        y += noise_level * rng.standard_normal(L)
     peak = np.max(np.abs(y))
     if peak > 0:
         y *= 0.9 / peak
@@ -192,7 +185,7 @@ class SingingSpec:
     vibrato_rate_hz: float = 5.0
     vibrato_depth_cents: float = 60.0
     vibrato_phase: float = 0.0
-    harmonic_amps: tuple = (1.0, 0.5, 0.25)
+    harmonic_amps: tuple = (1.0, 0.5, 0.25)  # a list or array is stored as a tuple of floats
     noise_level: float = 0.01
 
     def __post_init__(self):
@@ -200,6 +193,7 @@ class SingingSpec:
         if not all(isinstance(n, tuple) and len(n) == 3 for n in notes):
             raise ValidationError("singing spec: each note must be a (midi, frames, token_id) triple")
         object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "harmonic_amps", tuple(float(a) for a in self.harmonic_amps))
         # a NaN fails both checks
         if not all(0 <= x < np.inf for x in (self.vibrato_rate_hz, self.vibrato_depth_cents, self.noise_level)):
             raise ValidationError("singing spec: vibrato rate/depth and noise level must be finite and >= 0")

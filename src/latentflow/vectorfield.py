@@ -120,6 +120,8 @@ class VelocityField:
                     f"vector field: conditioning shape {cond.shape} != {(B, cfg.cond_channels, T)}"
                 )
             x = ad.concat([z, cond], axis=1)
+        elif cond is not None:
+            raise ValidationError("vector field: conditioning passed to a field built with cond_channels=0")
         else:
             x = z
 

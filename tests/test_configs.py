@@ -31,9 +31,8 @@ CASES = {
     "SingingSpec-phase_nan": (SingingSpec, _NOTES, {"vibrato_phase": _NAN}, "phase and harmonic amplitudes must be"),
     "SingingSpec-amps_nan": (SingingSpec, _NOTES, {"harmonic_amps": (1.0, _NAN)}, "phase and harmonic amplitudes"),
     "SolverConfig-max_step": (SolverConfig, {}, {"max_step": 0.0}, "max_step must be in"),
-    "SolverConfig-abs_tol": (SolverConfig, {}, {"abs_tol": -1.0}, "tolerances must be positive"),
-    "SolverConfig-abs_tol_nan": (SolverConfig, {}, {"abs_tol": _NAN}, "tolerances must be positive"),
-    "SolverConfig-rel_tol_nan": (SolverConfig, {}, {"rel_tol": _NAN}, "tolerances must be positive"),
+    "SolverConfig-tol": (SolverConfig, {}, {"tol": -1.0}, "tolerance must be positive"),
+    "SolverConfig-tol_nan": (SolverConfig, {}, {"tol": _NAN}, "tolerance must be positive"),
     "OptimizerConfig-lr_negative": (OptimizerConfig, {}, {"lr": -1.0}, "learning rates must be finite and > 0"),
     "OptimizerConfig-lr_nan": (OptimizerConfig, {}, {"lr": _NAN}, "learning rates must be finite and > 0"),
     "OptimizerConfig-lr_final_nan": (OptimizerConfig, {}, {"lr_final": _NAN}, "learning rates must be finite and > 0"),
@@ -73,12 +72,15 @@ def test_singing_spec_rejects_a_note_that_is_not_a_triple(notes):
 
 
 def test_containers_are_copied_so_a_caller_cannot_change_them_after_the_check():
-    tokens, notes = np.array([1, 2]), [(60, 4, 1)]
+    tokens, notes, amps = np.array([1, 2]), [(60, 4, 1)], [1.0, 0.5]
     sc = ScoreCondition(tokens, [60, 61], [2, 3], [0, 1])
-    spec = SingingSpec(notes=notes)
+    spec = SingingSpec(notes=notes, harmonic_amps=amps)
     tokens[0] = 7
     notes.append((62, 0, 2))
+    amps[0] = _NAN
     assert sc.tokens.tolist() == [1, 2] and spec.notes == ((60, 4, 1),)
+    assert spec.harmonic_amps == (1.0, 0.5) and all(type(a) is float for a in spec.harmonic_amps)
+    assert hash(spec) == hash(SingingSpec(notes=[(60, 4, 1)], harmonic_amps=np.array([1.0, 0.5])))
     for a in (sc.tokens, sc.note_pitch, sc.note_duration, sc.note_id):
         assert a.dtype == np.int64 and not a.flags.writeable
 

@@ -108,7 +108,7 @@ def test_train_cfm_zero_steps_leaves_params():
     field, store = _toy_field()
     before = store.state_dict()
     spec = GaussianTransportSpec()
-    losses = train_cfm(lambda r, n: (*spec.sample_pair(r, n, 8), None), field, store, 0, 16)
+    losses = train_cfm(lambda r, n: (*spec.sample_pair(r, n, 8), None), field, store, 0, 16, np.random.default_rng(0))
     assert losses == []
     after = store.state_dict()
     assert all(np.array_equal(before[k], after[k]) for k in before)
@@ -131,6 +131,9 @@ def test_train_cfm_deterministic_under_seed():
 
     a, b = run(), run()
     assert all(np.array_equal(a[k], b[k]) for k in a)
+    field, store = _toy_field(11)
+    with pytest.raises(TypeError, match="rng"):  # no hidden default seed
+        train_cfm(lambda r, n: (*GaussianTransportSpec().sample_pair(r, n, 8), None), field, store, 20, 8)
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +184,7 @@ def test_transported_samples_match_posterior_moments(trained_gaussian_field):
 
 
 def test_default_solver_budget_on_trained_field(trained_gaussian_field):
-    # NFE and solver error at tolerances 3e-4 with max step 0.5, the
+    # NFE and solver error at tolerance 3e-4 with max step 0.5, the
     # SolverConfig defaults while the time embedding's top frequency was
     # 1000; the error taken against a 1e-7 solve of the same 100 samples
     # (which is within W1 2.4e-5 of a 1e-8 solve). At that frequency,
@@ -191,19 +194,19 @@ def test_default_solver_budget_on_trained_field(trained_gaussian_field):
     # 0.0033-0.0086 and max-abs 0.029-0.071. With today's harmonics up to 12
     # they take NFE 13 (two steps), solver W1 0.0089-0.0096 and max-abs
     # 0.051-0.059, against a fit W1 of 0.0072-0.0084. The defaults before
-    # all of those (tolerances 1e-5, max step 0.1) took 361-367 NFE.
+    # all of those (tolerance 1e-5, max step 0.1) took 361-367 NFE.
     spec, field, _ = trained_gaussian_field
     z0 = spec.a + spec.s * np.random.default_rng(2).standard_normal((100, 8, 1))
     rhs = lambda z, t: field(z, t).data
-    z1, stats = solve(rhs, z0, cfg=SolverConfig(abs_tol=3e-4, rel_tol=3e-4, max_step=0.5))
-    ref, _ = solve(rhs, z0, cfg=SolverConfig(abs_tol=1e-7, rel_tol=1e-7, max_step=1.0))
+    z1, stats = solve(rhs, z0, cfg=SolverConfig(tol=3e-4, max_step=0.5))
+    ref, _ = solve(rhs, z0, cfg=SolverConfig(tol=1e-7, max_step=1.0))
     assert stats.rhs_evals <= 50
     assert wasserstein1_sorted(z1.ravel(), ref.ravel()) <= 0.01
     assert np.max(np.abs(z1 - ref)) <= 0.065
 
 
 def test_solver_budget_at_the_defaults_on_trained_field(trained_gaussian_field):
-    # The same measurement at the SolverConfig defaults (tolerances 5e-4,
+    # The same measurement at the SolverConfig defaults (tolerance 5e-4,
     # max step 0.34). Samples from seeds 2 to 5 take NFE 19 (three steps),
     # solver W1 0.0031-0.0036 and max-abs 0.024-0.029, against a fit W1 to
     # the oracle of 0.007-0.008. The error bounds leave about 20% margin.
@@ -215,7 +218,7 @@ def test_solver_budget_at_the_defaults_on_trained_field(trained_gaussian_field):
     z0 = spec.a + spec.s * np.random.default_rng(2).standard_normal((100, 8, 1))
     rhs = lambda z, t: field(z, t).data
     z1, stats = solve(rhs, z0)
-    ref, _ = solve(rhs, z0, cfg=SolverConfig(abs_tol=1e-7, rel_tol=1e-7, max_step=1.0))
+    ref, _ = solve(rhs, z0, cfg=SolverConfig(tol=1e-7, max_step=1.0))
     assert stats.rhs_evals <= 23
     assert wasserstein1_sorted(z1.ravel(), ref.ravel()) <= 0.0043
     assert np.max(np.abs(z1 - ref)) <= 0.035
@@ -275,7 +278,7 @@ def test_oracle_flow_map_consistent_with_integration():
     z0 = np.array([-0.7, 0.5, 1.7])
     z1, _ = solve(
         lambda z, t: gaussian_oracle_velocity(spec, t, z), z0,
-        cfg=SolverConfig(abs_tol=1e-5, rel_tol=1e-5, max_step=0.1),
+        cfg=SolverConfig(tol=1e-5, max_step=0.1),
     )
     np.testing.assert_allclose(z1, gaussian_flow_map(spec, z0, 1.0), atol=1e-4)
 
@@ -288,7 +291,7 @@ def test_train_cfm_aborts_on_nan():
         return z, z + np.nan, None
 
     with pytest.raises(NumericalError, match="step 0"):
-        train_cfm(bad_sampler, field, store, steps=3, batch_size=4)
+        train_cfm(bad_sampler, field, store, steps=3, batch_size=4, rng=np.random.default_rng(0))
 
 
 def test_wasserstein_sorted_estimate():

@@ -112,7 +112,7 @@ F0_FRAME = int(np.ceil(2 * DESK.sample_rate / F0ExtractConfig().fmin_search))  #
 @pytest.mark.parametrize("midi", [60, 64, 67], ids=["C4", "E4", "G4"])
 def test_f0_extract_finds_the_fundamental_of_clean_tones(cfg, frames, tol_cents, midi):
     hz = float(midi_to_hz(midi))
-    y = dsp_synthesize(np.full(frames, hz), (1.0, 0.5, 0.25), 0.0, cfg)
+    y = dsp_synthesize(np.full(frames, hz), (1.0, 0.5, 0.25), 0.0, cfg, np.random.default_rng(0))
     f0, voiced = f0_extract(y, cfg)
     assert voiced.all()
     assert np.max(np.abs(1200.0 * np.log2(f0 / hz))) < tol_cents
@@ -122,7 +122,7 @@ def test_f0_extract_follows_vibrato_away_from_note_changes():
     spec = SingingSpec(notes=[(62, 50, 1), (66, 45, 2), (69, 55, 3)], vibrato_rate_hz=5.5,
                        vibrato_depth_cents=80.0, noise_level=0.0)
     truth = singing_f0_contour(spec, DESK)
-    f0, voiced = f0_extract(dsp_synthesize(truth, spec.harmonic_amps, 0.0, DESK), DESK)
+    f0, voiced = f0_extract(dsp_synthesize(truth, spec.harmonic_amps, 0.0, DESK, np.random.default_rng(0)), DESK)
     # an analysis frame is F0_FRAME samples centred on its mel frame; the
     # synthesizer ramps f0 over the hop before each note change
     centre = np.arange(len(f0)) * DESK.hop_size + DESK.window_size / 2
@@ -201,3 +201,15 @@ def test_f0_rmse_rejects_mismatched_or_unvoiced_inputs():
         f0_rmse(f, v, f[:9], v[:9])
     with pytest.raises(ValidationError, match="no mutually voiced"):
         f0_rmse(f, v, f, ~v)
+
+
+def test_dsp_synthesize_noise_is_the_level_times_the_callers_draws():
+    """With no harmonics the render is noise_level times standard normals
+    from the caller's rng, peak-normalized; a render without an rng fails
+    rather than drawing from a hidden seed."""
+    f0 = np.full(20, 220.0)
+    y = dsp_synthesize(f0, (), 0.1, DESK, np.random.default_rng(7))
+    noise = 0.1 * np.random.default_rng(7).standard_normal(20 * DESK.hop_size)
+    np.testing.assert_array_equal(y, noise * (0.9 / np.max(np.abs(noise))))
+    with pytest.raises(TypeError, match="rng"):
+        dsp_synthesize(f0, (1.0,), 0.1, DESK)

@@ -49,7 +49,7 @@ def test_chart_prints_one_row_per_setting_then_one_summary_per_setting(solver_ch
         assert (s["nfe"], s["rejected"], s["w1_median"], s["w1_worst"]) == (
             r["nfe"], r["rejected"], r["w1_oracle"], r["w1_oracle"])
     default = odesolver.SolverConfig()
-    s = summary[solver_chart.SETTINGS.index((default.abs_tol, default.max_step))]
+    s = summary[solver_chart.SETTINGS.index((default.tol, default.max_step))]
     assert (s["ratio_median"], s["ratio_min"], s["ratio_max"], s["meets_rule"]) == (1.0, 1.0, 1.0, True)
 
 
@@ -78,7 +78,7 @@ def test_summary_takes_each_fits_mean_over_input_seeds_and_its_ratio_to_the_defa
     default = odesolver.SolverConfig()
 
     def row(max_step, fit_seed, seed, w1):
-        return {"fit_seed": fit_seed, "seed": seed, "tol": default.abs_tol, "max_step": max_step,
+        return {"fit_seed": fit_seed, "seed": seed, "tol": default.tol, "max_step": max_step,
                 "nfe": 13.0 if max_step == 0.5 else 19.0, "rejected": 0.0, "w1_oracle": w1}
 
     # the other setting comes first: the baseline is the default, not the first row

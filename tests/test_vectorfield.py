@@ -126,6 +126,9 @@ def test_conditioning_shape_checked():
         field(z, 0.5, cond=np.zeros((2, 5)))
     out = field(z, 0.5, cond=np.zeros((2, 6)))
     assert out.shape == (4, 6)
+    unconditioned, _, _ = make_field()  # conditioning it would drop is an error
+    with pytest.raises(ValidationError, match="conditioning"):
+        unconditioned(z, 0.5, cond=np.ones((3, 6)))
 
 
 
