@@ -18,8 +18,10 @@ nine in ten, and the medians apart by more than the parent's IQR in the
 change's favour. Each end-to-end metric with a ``bound`` (a fraction of the
 parent's median) gets a ``status``:
 
-- ``unresolved`` when the parent's IQR is wider than the bound, unless every
-  run of the change reads better than every run of the parent;
+- ``identical in every pair`` when the change reads the same value as the
+  parent in every pair, however wide the parent's spread across seeds;
+- else ``unresolved`` when the parent's IQR is wider than the bound, unless
+  every run of the change reads better than every run of the parent;
 - else ``worse beyond bound`` when the change's median is worse than the
   parent's by more than the bound;
 - else ``within bound``.
@@ -72,9 +74,11 @@ def quartiles(xs: list) -> dict:
 
 
 def verdict(b: list, a: list, sign: float, bound: float) -> str:
-    """Status of the change's runs ``a`` against the parent's ``b`` for a
-    bound that is a fraction of the parent's median; sign is 1.0 where lower
-    is better and -1.0 where higher is."""
+    """Status of the change's runs ``a`` against the parent's ``b``, pair by
+    pair, for a bound that is a fraction of the parent's median; sign is 1.0
+    where lower is better and -1.0 where higher is."""
+    if a == b:
+        return "identical in every pair"
     before = quartiles(b)
     allowed = bound * abs(before["median"])
     if max(sign * y for y in a) < min(sign * x for x in b):

@@ -1,10 +1,8 @@
-"""Monotonic alignment search constrained by note boundaries, plus a
-brute-force enumeration oracle and the duration loss."""
+"""Monotonic alignment search constrained by note boundaries, and the
+duration loss."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -26,11 +24,9 @@ class NoteBoundaryConstraint:
 
     token_note_id: np.ndarray
     frame_note_id: np.ndarray
-    # Derived once from the ids. Per note, in ascending note order:
-    note_token_counts: np.ndarray = field(init=False, repr=False)
-    note_frame_counts: np.ndarray = field(init=False, repr=False)
-    # Per frame j, the tokens [lo, hi) a monotonic path may hold there: the
-    # frame's note's tokens with index <= j.
+    # Derived once from the ids. Per frame j, the tokens [lo, hi) a
+    # monotonic path may hold there: the frame's note's tokens with index
+    # <= j.
     frame_token_lo: np.ndarray = field(init=False, repr=False)
     frame_token_hi: np.ndarray = field(init=False, repr=False)
     # Flat indices into the [tokens, frames] matrix of those cells, frame by
@@ -65,8 +61,6 @@ class NoteBoundaryConstraint:
         derived = {
             "token_note_id": tok,
             "frame_note_id": frm,
-            "note_token_counts": n_tok,
-            "note_frame_counts": n_frm,
             "frame_token_lo": lo,
             "frame_token_hi": hi,
             "frame_cells": cells,
@@ -76,15 +70,20 @@ class NoteBoundaryConstraint:
             object.__setattr__(self, name, a)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AlignmentPath:
     """Monotonic token -> contiguous-frame-block assignment, stored as
-    per-token durations."""
+    per-token durations: a read-only 1-D int64 copy, each at least 1,
+    checked once at construction."""
 
     durations: np.ndarray
 
     def __post_init__(self):
-        self.durations = np.asarray(self.durations, dtype=np.int64)
+        d = np.array(self.durations, dtype=np.int64)
+        if d.ndim != 1 or np.any(d < 1):
+            raise ValidationError(f"alignment path: durations must be 1-D and >= 1, got shape {d.shape}")
+        d.flags.writeable = False
+        object.__setattr__(self, "durations", d)
 
 
 def _check_instance(ll: np.ndarray, nb: NoteBoundaryConstraint):
@@ -100,21 +99,6 @@ def _check_instance(ll: np.ndarray, nb: NoteBoundaryConstraint):
             f"do not match matrix {n}x{t}"
         )
     return ll
-
-
-def path_score(ll: np.ndarray, durations: np.ndarray):
-    """Sum of covered cells, accumulated in frame order from 0.0 (the same
-    association the DP uses, so scores compare exactly).
-
-    ``durations`` is an int array, one path [N] or a stack of paths [C, N],
-    each summing to the frame count; the result is a float or one score per
-    path. Array methods rather than numpy functions keep the per-call cost
-    low for the small instances the brute-force oracle scores.
-    """
-    frames = np.arange(ll.shape[1])
-    cells = ll[(durations.cumsum(-1)[..., :, None] <= frames).sum(-2), frames]
-    cells[..., 0] += 0.0  # the first step is ll + 0.0, which turns -0.0 into 0.0
-    return cells.cumsum(-1)[..., -1]
 
 
 def mas_align(ll, nb: NoteBoundaryConstraint) -> tuple[AlignmentPath, float]:
@@ -164,51 +148,9 @@ def mas_align(ll, nb: NoteBoundaryConstraint) -> tuple[AlignmentPath, float]:
     return AlignmentPath(durations), q[n]
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """[C, parts]: every way to write total as an ordered sum of ``parts``
-    positive ints."""
-    cuts = list(combinations(range(1, total), parts - 1))
-    edges = np.zeros((len(cuts), parts + 1), dtype=np.int64)
-    edges[:, 1:-1] = cuts
-    edges[:, -1] = total
-    return np.diff(edges, axis=1)
-
-
-@lru_cache(maxsize=None)
-def _candidates(note_token_counts: tuple, note_frame_counts: tuple) -> np.ndarray:
-    """[C, N] read-only: every feasible duration vector for these per-note
-    counts, ordered by the tie key (durations read from the last token
-    backward) from largest to smallest."""
-    per_note = [_compositions(f, k) for k, f in zip(note_token_counts, note_frame_counts)]
-    pick = np.indices([len(c) for c in per_note]).reshape(len(per_note), -1)
-    cands = np.concatenate([c[p] for c, p in zip(per_note, pick)], axis=1)
-    cands = cands[np.lexsort(cands.T)[::-1]]
-    cands.flags.writeable = False
-    return cands
-
-
-def brute_force_align(ll, nb: NoteBoundaryConstraint):
-    """Exact optimum by enumerating every feasible duration assignment.
-
-    Ties break exactly like mas_align: among equal scores, prefer the
-    path maximizing durations read from the last token backward (i.e.
-    earliest boundaries). Guarded to instances of at most 6 tokens by 12
-    frames.
-    """
-    ll = _check_instance(ll, nb)
-    n, t = ll.shape
-    if n > 6 or t > 12:  # the candidates grow combinatorially with the instance
-        raise ValidationError(f"brute_force_align: instance {n}x{t} exceeds guard 6x12")
-    cands = _candidates(tuple(nb.note_token_counts.tolist()), tuple(nb.note_frame_counts.tolist()))
-    scores = path_score(ll, cands)
-    best = int(np.argmax(scores))  # the first maximum holds the largest tie key
-    return AlignmentPath(cands[best].copy()), float(scores[best])
-
-
 def durations_from_path(path: AlignmentPath) -> np.ndarray:
-    """Per-token frame counts; positive ints summing to the frame count."""
-    if np.any(path.durations < 1):
-        raise ValidationError("alignment path: durations must be >= 1")
+    """Per-token frame counts, a writable copy; positive ints summing to the
+    frame count."""
     return path.durations.copy()
 
 

@@ -157,7 +157,10 @@ def mean(x) -> Tensor | np.ndarray:
 
 def reshape(x, shape) -> Tensor | np.ndarray:
     xv = value(x)
-    out = xv.reshape(shape)
+    try:
+        out = xv.reshape(shape)
+    except ValueError:
+        raise ValidationError(f"reshape: cannot reshape shape {xv.shape} to {shape}") from None
     return _make("reshape", out, (x, lambda g: g.reshape(xv.shape)))
 
 
@@ -170,7 +173,10 @@ def transpose(x, axes) -> Tensor | np.ndarray:
 
 def concat(parts, axis: int) -> Tensor | np.ndarray:
     vals = [value(p) for p in parts]
-    out = np.concatenate(vals, axis=axis)
+    try:
+        out = np.concatenate(vals, axis=axis)
+    except ValueError:
+        raise ValidationError(f"concat: part shapes {[v.shape for v in vals]} do not conform on axis {axis}") from None
     splits = np.cumsum([v.shape[axis] for v in vals])[:-1]
     edges = [(p, lambda g, i=i: np.split(g, splits, axis=axis)[i]) for i, p in enumerate(parts)]
     return _make("concat", out, *edges)
@@ -180,7 +186,11 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor | np.ndarray:
     """Slice ``length`` entries from ``start`` along ``axis``."""
     xv = value(x)
     _check_count("narrow", "length", length, 0)
-    if start < 0 or start + length > xv.shape[axis]:
+    try:
+        size = xv.shape[axis]
+    except IndexError:
+        raise ValidationError(f"narrow: axis {axis} out of range for shape {xv.shape}") from None
+    if start < 0 or start + length > size:
         raise ValidationError(
             f"narrow: slice [{start}, {start + length}) out of range for axis {axis} of shape {xv.shape}"
         )

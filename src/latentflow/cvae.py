@@ -198,6 +198,9 @@ def decode_durations(log_durations) -> np.ndarray:
 def expand_to_frames(x, durations: np.ndarray):
     """Repeat column i of x[:, N] durations[i] times -> [*, T]."""
     durations = np.asarray(durations, dtype=np.int64)
+    n = ad.value(x).shape[-1]
+    if durations.shape != (n,):
+        raise ValidationError(f"expand_to_frames: durations of shape {durations.shape} for {n} columns")
     if np.any(durations < 1):
         raise ValidationError("expand_to_frames: durations must be >= 1")
     idx = np.repeat(np.arange(len(durations)), durations)
@@ -251,17 +254,13 @@ class PriorEncoder:
 
         if durations is None:
             durations = decode_durations(log_dur)
-        durations = np.asarray(durations, dtype=np.int64)
-        if len(durations) != n:
-            raise ValidationError(f"prior encoder: {len(durations)} durations for {n} tokens")
-        t_frames = int(durations.sum())
 
         frame_gaussian = DiagonalGaussianSeq(
             expand_to_frames(token_gaussian.mean, durations), expand_to_frames(token_gaussian.log_var, durations)
         )
 
         hf = expand_to_frames(ad.reshape(h, (cfg.hidden, n)), durations)
-        hf = self.frame_stack(ad.reshape(hf, (1, cfg.hidden, t_frames)))
-        pred_log_f0 = ad.reshape(ad.conv1d(hf, self.f0_w, self.f0_b), (t_frames,))
-        pred_mel = ad.reshape(ad.conv1d(hf, self.mel_w, self.mel_b), (cfg.mel_bands, t_frames))
+        hf = self.frame_stack(ad.reshape(hf, (1, cfg.hidden, -1)))
+        pred_log_f0 = ad.reshape(ad.conv1d(hf, self.f0_w, self.f0_b), (-1,))
+        pred_mel = ad.reshape(ad.conv1d(hf, self.mel_w, self.mel_b), (cfg.mel_bands, -1))
         return PriorEncoderOutput(token_gaussian, frame_gaussian, log_dur, pred_log_f0, pred_mel)

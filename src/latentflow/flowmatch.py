@@ -1,6 +1,7 @@
 """Flow-matching training machinery: the straight-line probability path,
-its target velocity, the regression loss, a training loop, and the
-closed-form Gaussian transport oracle used for verification."""
+its target velocity, the regression loss and a training loop; and the
+Gaussian endpoints, their exact flow and the W1 distance that the synth
+benchmark fits and scores against."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -109,8 +110,10 @@ def train_cfm(
 @dataclass(frozen=True)
 class GaussianTransportSpec:
     """Independent diagonal-Gaussian endpoints, per coordinate:
-    prior N(a, s^2) and posterior N(b, r^2). Verification oracle for the
-    straight-line path."""
+    prior N(a, s^2) and posterior N(b, r^2). The synth benchmark fits its
+    velocity field between these endpoints and scores it against
+    ``gaussian_flow_map``; the oracles of this transport live in
+    ``latentflow.oracles``."""
 
     a: float = 0.0
     s: float = 1.0
@@ -129,42 +132,15 @@ class GaussianTransportSpec:
     def path_var(self, t):
         return (1.0 - t) ** 2 * self.s**2 + t**2 * self.r**2
 
-    def conditional_velocity_variance(self, t):
-        """Var(z_q - z_p | z_t) per coordinate; its average over t is the
-        irreducible floor of the flow-matching loss."""
-        cov = t * self.r**2 - (1.0 - t) * self.s**2
-        return (self.s**2 + self.r**2) - cov**2 / self.path_var(t)
-
-    def loss_floor(self) -> float:
-        """Trapezoid rule on 10001 points of t."""
-        ts = np.linspace(0.0, 1.0, 10001)
-        return float(np.trapezoid(self.conditional_velocity_variance(ts), ts))
-
     def sample_pair(self, rng: np.random.Generator, n: int, dim: int):
         z_p = self.a + self.s * rng.standard_normal((n, dim, 1))
         z_q = self.b + self.r * rng.standard_normal((n, dim, 1))
         return z_p, z_q
 
 
-def gaussian_oracle_velocity(spec: GaussianTransportSpec, t, z):
-    """Minimizer of the flow-matching regression under independent Gaussian
-    endpoints: the conditional expectation E[z_q - z_p | z_t = z],
-
-        v*(z, t) = (b - a) + [(t r^2 - (1-t) s^2) / ((1-t)^2 s^2 + t^2 r^2)]
-                   * (z - mu_t),  mu_t = (1-t) a + t b.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    denom = spec.path_var(t)
-    if np.any(denom == 0.0):
-        raise ValidationError("gaussian oracle: degenerate path variance (s = r = 0)")
-    coeff = (t * spec.r**2 - (1.0 - t) * spec.s**2) / denom
-    z = np.asarray(z, dtype=np.float64)
-    return (spec.b - spec.a) + coeff * (z - spec.path_mean(t))
-
-
 def gaussian_flow_map(spec: GaussianTransportSpec, z0, t):
-    """Exact flow of the oracle field: quantiles of the prior map to the
-    same quantiles of the time-t path marginal."""
+    """Exact flow of the Gaussian oracle field: quantiles of the prior map
+    to the same quantiles of the time-t path marginal."""
     sig0 = spec.s
     sig_t = np.sqrt(spec.path_var(t))
     return spec.path_mean(t) + (sig_t / sig0) * (np.asarray(z0) - spec.a)

@@ -7,16 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentflow import autodiff as ad
-from latentflow.alignment import (
-    AlignmentPath,
-    NoteBoundaryConstraint,
-    brute_force_align,
-    duration_loss,
-    durations_from_path,
-    mas_align,
-    path_score,
-)
+from latentflow.alignment import AlignmentPath, NoteBoundaryConstraint, duration_loss, durations_from_path, mas_align
 from latentflow.exceptions import ValidationError
+from latentflow.oracles import brute_force_align, path_score
 
 
 def single(n, t):
@@ -229,6 +222,25 @@ def test_durations_from_path():
     for _ in range(20):
         d = rng.integers(1, 5, size=4)
         assert durations_from_path(AlignmentPath(d)).sum() == d.sum()
+
+
+def test_alignment_path_is_checked_once_and_owns_read_only_durations():
+    with pytest.raises(ValidationError, match="alignment path: durations must be 1-D and >= 1"):
+        AlignmentPath([1, 0])
+    with pytest.raises(ValidationError, match=r"shape \(1, 2\)"):
+        AlignmentPath([[1, 2]])
+    d = np.array([1, 2])
+    p = AlignmentPath(d)
+    with pytest.raises(FrozenInstanceError):
+        p.durations = np.array([3])
+    with pytest.raises(ValueError):
+        p.durations[0] = 0
+    assert p.durations.dtype == np.int64
+    d[0] = 0  # the caller's array is not the path's
+    np.testing.assert_array_equal(p.durations, [1, 2])
+    out = durations_from_path(p)
+    out[0] = 5  # the copy handed back is the caller's to change
+    np.testing.assert_array_equal(p.durations, [1, 2])
 
 
 def test_duration_loss_log_domain():

@@ -515,6 +515,12 @@ def test_shape_mismatch_error_names_op():
         ad.matmul(a, np.zeros(3))
     with pytest.raises(ValueError, match="conv1d"):
         ad.conv1d(ad.Tensor(np.zeros((1, 2, 5))), ad.Tensor(np.zeros((4, 3, 3))))
+    with pytest.raises(ValidationError, match=r"^concat: part shapes \[\(2, 3\), \(3, 2\)\]"):
+        ad.concat([a, b], axis=0)
+    with pytest.raises(ValidationError, match=r"^reshape: cannot reshape shape \(2, 3\) to \(4,\)"):
+        ad.reshape(a, (4,))
+    with pytest.raises(ValidationError, match=r"^narrow: axis 2 out of range for shape \(2, 3\)"):
+        ad.narrow(a, 2, 0, 1)
 
 
 def test_replay_is_bit_identical():

@@ -103,6 +103,9 @@ PARENT = [97.0, 98.0, 99.0, 99.0, 100.0, 100.0, 101.0, 101.0, 102.0, 103.0]
     # unless every change run beats every parent run
     ("lower", [70.0, 85.0, 100.0, 115.0, 130.0], [50.0, 55.0, 60.0, 65.0, 69.0], "within bound"),
     ("higher", [70.0, 85.0, 100.0, 115.0, 130.0], [131.0, 140.0, 150.0, 160.0, 170.0], "within bound"),
+    # the same value in every pair reads as such, whatever the parent's IQR
+    ("lower", [70.0, 85.0, 100.0, 115.0, 130.0], [70.0, 85.0, 100.0, 115.0, 130.0], "identical in every pair"),
+    ("lower", [70.0, 85.0, 100.0, 115.0, 130.0], [70.0, 85.0, 100.0, 115.0, 130.5], "unresolved"),
 ])
 def test_status_reads_the_bound_as_a_share_of_the_parent_median(bench_pairs, better, before, after, status):
     entry = bench_pairs.summarize(_runs("m", before, after), {"m": better}, {"m": 0.1})["metrics"]["m"]

@@ -151,6 +151,11 @@ def test_expand_to_frames():
     np.testing.assert_array_equal(out, [[1, 1, 2, 2, 2], [3, 3, 4, 4, 4]])
     with pytest.raises(ValidationError):
         expand_to_frames(x, np.array([0, 5]))
+    x3 = np.arange(6.0).reshape(2, 3)
+    with pytest.raises(ValidationError, match=r"expand_to_frames: durations of shape \(2,\) for 3 columns"):
+        expand_to_frames(x3, np.array([2, 1]))  # too few: no column may be dropped
+    with pytest.raises(ValidationError, match=r"expand_to_frames: durations of shape \(4,\) for 3 columns"):
+        expand_to_frames(x3, np.array([2, 1, 1, 1]))
 
 
 def test_sample_reparam_monte_carlo_moments():

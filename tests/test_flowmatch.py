@@ -8,13 +8,13 @@ from latentflow.flowmatch import (
     OptimizerConfig,
     cfm_loss,
     gaussian_flow_map,
-    gaussian_oracle_velocity,
     interpolate,
     target_velocity,
     train_cfm,
     wasserstein1_sorted,
 )
 from latentflow.odesolver import SolverConfig, solve
+from latentflow.oracles import conditional_velocity_variance, gaussian_oracle_velocity, loss_floor
 from latentflow.vectorfield import VectorFieldConfig, VelocityField
 
 
@@ -154,7 +154,7 @@ def trained_gaussian_field():
 
 def test_trained_loss_reaches_conditional_variance_floor(trained_gaussian_field):
     spec, _, losses = trained_gaussian_field
-    floor = spec.loss_floor()
+    floor = loss_floor(spec)
     tail = float(np.mean(losses[-100:]))
     assert abs(tail - floor) / floor < 0.10
 
@@ -271,6 +271,17 @@ def test_oracle_velocity_monte_carlo_regression_at_t0():
     mask = np.abs(zp - z) < 0.05
     empirical = float(np.mean(zq[mask] - zp[mask]))
     assert empirical == pytest.approx(float(gaussian_oracle_velocity(spec, 0.0, np.array(z))), abs=0.05)
+
+
+def test_conditional_velocity_variance_is_the_oracle_residual():
+    # at t = 0 the path point is z_p, so only z_q is unknown, and at t = 1 only z_p
+    spec = GaussianTransportSpec(a=0.5, s=1.2, b=-1.0, r=0.4)
+    assert conditional_velocity_variance(spec, 0.0) == pytest.approx(spec.r**2)
+    assert conditional_velocity_variance(spec, 1.0) == pytest.approx(spec.s**2)
+    zp, zq = spec.sample_pair(np.random.default_rng(7), 200_000, 1)
+    for t in (0.25, 0.5, 0.75):
+        resid = (zq - zp) - gaussian_oracle_velocity(spec, t, interpolate(zp, zq, t))
+        assert np.mean(resid**2) == pytest.approx(conditional_velocity_variance(spec, t), rel=0.02)
 
 
 def test_oracle_flow_map_consistent_with_integration():

@@ -1,10 +1,11 @@
 """Repository hygiene, checked with the standard library only: every
 module-level import in the package is used, every dataclass field is read,
-every public name has a caller outside the tests, every differentiable op
-has a finite-difference test, every raise is a ValidationError or a
-NumericalError, every dataclass is checked when it is made and not at each
-use, the imports match the declared dependencies, and every console script
-declared in pyproject.toml resolves to a callable."""
+every public name has a caller outside the tests, only the tests import
+the oracles, every differentiable op has a finite-difference test, every
+raise is a ValidationError or a NumericalError, every dataclass is checked
+when it is made and not at each use, the imports match the declared
+dependencies, and every console script declared in pyproject.toml resolves
+to a callable."""
 import ast
 import importlib
 import re
@@ -16,6 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "latentflow"
 OPS = PACKAGE / "autodiff" / "ops.py"
+ORACLES = PACKAGE / "oracles.py"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -136,10 +138,12 @@ def _autodiff_loads(tree: ast.AST) -> Counter:
 
 def _public_definitions() -> list[tuple[Path, str, ast.AST]]:
     """(file, qualified name, definition) of every public module-level
-    function and class in the package, and of every public method and
-    property of those classes."""
+    function and class in the package outside ``oracles.py``, and of every
+    public method and property of those classes."""
     defs = []
     for path in sorted(PACKAGE.rglob("*.py")):
+        if path == ORACLES:
+            continue
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defs.append((path, node.name, node))
@@ -151,9 +155,6 @@ def _public_definitions() -> list[tuple[Path, str, ast.AST]]:
 
 # Public names that only the tests call, each with the reason it stays.
 _CALLED_ONLY_BY_TESTS = {
-    "brute_force_align": "oracle: exhaustive search the alignment DP is checked against",
-    "gaussian_oracle_velocity": "oracle: closed-form minimizer of the flow-matching loss",
-    "GaussianTransportSpec.loss_floor": "oracle: the irreducible flow-matching loss",
     "finite_diff_check": "oracle: the independent check of every backward rule",
     "set_debug_checks": "the debug switch, turned on by hand or by a test",
     "write_wav": "waits for a synth command that writes its output",
@@ -166,6 +167,8 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     public method and property of those classes, is loaded by name somewhere
     in src/, perfbench/ or scripts/, outside its own definition. The
     ``__init__`` re-exports do not count, since an import is not a load.
+    ``oracles.py`` holds the tests' oracles, so its names are not checked
+    and its loads call nothing: a name that only an oracle calls fails.
 
     An op of ``autodiff/ops.py`` counts only as ``ad.<op>``, loaded from a
     name bound to ``latentflow.autodiff``, so ``np.sqrt`` is no call of an
@@ -174,13 +177,44 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     is, so it finds names nothing loads, not every method without a
     caller."""
     trees = [ast.parse(p.read_text(), filename=str(p))
-             for d in ("src", "perfbench", "scripts") for p in sorted((ROOT / d).rglob("*.py"))]
+             for d in ("src", "perfbench", "scripts") for p in sorted((ROOT / d).rglob("*.py")) if p != ORACLES]
     loads = sum((_loads(t) for t in trees), Counter())
     op_loads = sum((_autodiff_loads(t) for t in trees), Counter())
     uncalled = {qual for path, qual, node in _public_definitions()
                 if (op_loads[node.name] if path == OPS else loads[node.name] - _loads(node)[node.name]) <= 0}
     assert sorted(uncalled - _CALLED_ONLY_BY_TESTS.keys()) == []
     assert sorted(_CALLED_ONLY_BY_TESTS.keys() - uncalled) == []
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Absolute names of the modules, and of the names in them, that
+    ``path`` imports; a relative import counts from a module of the package
+    only."""
+    parts = path.relative_to(PACKAGE.parent).parent.parts if PACKAGE in path.parents else None
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.level == 0 or parts is not None):
+            base = parts[:len(parts) - node.level + 1] if node.level else ()
+            module = ".".join(base + ((node.module,) if node.module else ()))
+            names |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_only_the_tests_import_the_oracles():
+    """No module of the package but ``oracles.py`` itself, and nothing in
+    perfbench/ or scripts/, imports ``latentflow.oracles``; and each public
+    name of ``oracles.py`` is loaded somewhere in tests/, so the exemption
+    from the caller rule above hides no dead oracle."""
+    sources = [p for d in ("src", "perfbench", "scripts") for p in sorted((ROOT / d).rglob("*.py")) if p != ORACLES]
+    importers = [str(p.relative_to(ROOT)) for p in sources if "latentflow.oracles" in _imported_modules(p)]
+    assert importers == []
+    public = {node.name for node in ast.parse(ORACLES.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    loads = sum((_loads(ast.parse(p.read_text(), filename=str(p))) for p in sorted((ROOT / "tests").rglob("*.py"))),
+                Counter())
+    assert public and sorted(name for name in public if not loads[name]) == []
 
 
 def _called(tree: ast.AST) -> set[str]:

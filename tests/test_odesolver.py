@@ -6,8 +6,9 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from latentflow.exceptions import NumericalError
-from latentflow.flowmatch import GaussianTransportSpec, gaussian_oracle_velocity
+from latentflow.flowmatch import GaussianTransportSpec
 from latentflow.odesolver import _A, _C, _E, SolverConfig, dopri5_step, solve
+from latentflow.oracles import gaussian_oracle_velocity
 
 # The tolerance and step cap that the bounds of the accuracy tests below
 # were set for; they are tighter than the defaults.
