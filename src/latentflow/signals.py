@@ -5,7 +5,9 @@ MCD / F0-RMSE evaluation metrics.
 f0 is reported on the mel frame grid, one value per mel frame, from
 zero-padded analysis frames centred on the mel frames; its period is the
 first autocorrelation peak that reaches the voicing threshold, not the
-global maximum, which lands on sub-harmonics."""
+global maximum, which lands on sub-harmonics. Lags are searched in chunks,
+each frame only until its first peak is confirmed, and the output does not
+depend on the chunk size."""
 from __future__ import annotations
 
 import functools
@@ -151,10 +153,15 @@ def dsp_synthesize(
     Harmonic k gets amplitude harmonic_amps[k-1]; phase accumulates from a
     sample-interpolated f0. White noise of standard deviation noise_level,
     drawn from ``rng``, is added and the result is peak-normalized to 0.9.
-    Any harmonic at or above the analysis fmax is rejected as aliasing.
+    Any harmonic at or above the analysis fmax is rejected as aliasing, and
+    a non-finite f0 is rejected.
     """
     f0_frames = np.asarray(f0_frames, dtype=np.float64)
     harmonic_amps = np.atleast_1d(np.asarray(harmonic_amps, dtype=np.float64))
+    if not np.isfinite(f0_frames).all():
+        raise ValidationError(
+            f"dsp_synthesize: f0 contour has {np.count_nonzero(~np.isfinite(f0_frames))} non-finite frames"
+        )
     n_harm = len(harmonic_amps)
     if n_harm and f0_frames.size and float(f0_frames.max()) * n_harm >= cfg.fmax:
         raise ValidationError(
@@ -229,21 +236,70 @@ class F0ExtractConfig:
             )
 
 
-def _normalized_autocorrelation(segs: np.ndarray, lag_min: int, lag_max: int) -> np.ndarray:
-    """corr[frame, lag - lag_min] = a.b / sqrt(a.a * b.b) with a = seg[:-lag],
-    b = seg[lag:], for every row of ``segs`` at once; 0 where a or b has no
-    energy. The energies come from prefix and suffix sums of seg**2, so
+# Lags per step of the first-peak search. On the eval corpus 16, 24 and 32
+# time within 12% of each other, and one chunk of every lag about 30% slower.
+_LAG_CHUNK = 24
+
+
+def _lag_energies(segs: np.ndarray, lag_min: int, lag_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a.a, b.b) as [frame, lag - lag_min] views, with a = seg[:-lag] and
+    b = seg[lag:]. They come from prefix and suffix sums of seg**2, so
     neither is a difference of two large sums."""
     sq = segs * segs
     prefix = np.cumsum(sq, axis=1)  # prefix[:, k] = sum of seg[:k + 1]**2
     suffix = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]  # suffix[:, k] = sum of seg[k:]**2
-    lags = np.arange(lag_min, lag_max + 1)
-    width = segs.shape[1]
+    # a = seg[:width - lag] has energy prefix[:, width - lag - 1]
+    return prefix[:, ::-1][:, lag_min : lag_max + 1], suffix[:, lag_min : lag_max + 1]
+
+
+def _normalized_autocorrelation(segs: np.ndarray, a_energy: np.ndarray, b_energy: np.ndarray,
+                                lags: np.ndarray) -> np.ndarray:
+    """corr[frame, j] = a.b / sqrt(a.a * b.b) with a = seg[:-lag],
+    b = seg[lag:] and lag = lags[j], for every row of ``segs`` at once,
+    given a.a and b.b in the same layout; 0 where a or b has no energy.
+    Each column is one einsum per contiguous row, so a value does not depend
+    on which other rows or lags are computed with it."""
     r = np.empty((segs.shape[0], len(lags)))
     for j, lag in enumerate(lags):
         r[:, j] = np.einsum("ij,ij->i", segs[:, :-lag], segs[:, lag:])
-    denom = np.sqrt(prefix[:, width - lags - 1] * suffix[:, lags])
+    denom = np.sqrt(a_energy * b_energy)
     return np.divide(r, denom, out=np.zeros_like(r), where=denom > 0)
+
+
+def _first_peaks(segs: np.ndarray, lag_min: int, lag_max: int, threshold: float,
+                 chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """(corr, first): the normalized autocorrelation over lags
+    lag_min..lag_max and, per frame, the column of its first strict local
+    maximum that reaches ``threshold``, or 0 for none.
+
+    Lags are computed ``chunk`` at a time, each chunk only for the frames
+    with no peak yet; a peak at column j counts once column j + 1 exists.
+    Columns past the chunk that confirms a frame's peak are left unset. As
+    every column is computed alike, ``first`` and the columns beside each
+    first peak do not depend on ``chunk``."""
+    a_energy, b_energy = _lag_energies(segs, lag_min, lag_max)
+    lags = np.arange(lag_min, lag_max + 1)
+    corr = np.empty(a_energy.shape)
+    first = np.zeros(len(segs), dtype=np.intp)
+    frames = np.arange(len(segs))
+    rows = slice(None)  # the first chunk runs on every frame, ungathered
+    for lo in range(0, len(lags), chunk):
+        hi = min(lo + chunk, len(lags))
+        corr[rows, lo:hi] = _normalized_autocorrelation(segs[rows], a_energy[rows, lo:hi],
+                                                        b_energy[rows, lo:hi], lags[lo:hi])
+        # the centres lo - 1 .. hi - 2 now have both neighbours
+        centre = max(1, lo - 1)
+        window = corr[rows, centre - 1 : hi]
+        inner = window[:, 1:-1]
+        peak = (inner > window[:, :-2]) & (inner >= window[:, 2:]) & (inner >= threshold)
+        found = peak.any(axis=1)
+        searched = frames[rows]
+        if found.any():
+            first[searched[found]] = peak[found].argmax(axis=1) + centre
+        rows = searched[~found]
+        if not rows.size:
+            break
+    return corr, first
 
 
 def f0_extract(y: np.ndarray, cfg: MelConfig, xcfg: F0ExtractConfig | None = None):
@@ -259,14 +315,22 @@ def f0_extract(y: np.ndarray, cfg: MelConfig, xcfg: F0ExtractConfig | None = Non
     first dip (de Cheveigne & Kawahara, 2002), refined by parabolic
     interpolation; a global maximum would land on a multiple of the period,
     a sub-harmonic. A frame with no such lag, as in silence or noise, is
-    unvoiced.
+    unvoiced. Lags are searched in chunks, and a frame stops at its first
+    confirmed peak; the output does not depend on the chunk size.
 
-    Returns (f0_hz, voiced), with f0 0 on unvoiced frames.
+    Returns (f0_hz, voiced), with f0 0 on unvoiced frames. A signal with a
+    non-finite sample is rejected.
     """
-    xcfg = xcfg or F0ExtractConfig()
+    return _f0_extract(y, cfg, xcfg or F0ExtractConfig(), _LAG_CHUNK)
+
+
+def _f0_extract(y, cfg: MelConfig, xcfg: F0ExtractConfig, chunk: int):
+    """f0_extract with the first-peak search taking ``chunk`` lags at a time."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise ValidationError(f"f0_extract: expected 1-D signal, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValidationError(f"f0_extract: signal has {np.count_nonzero(~np.isfinite(y))} non-finite samples")
     sr, hop = cfg.sample_rate, cfg.hop_size
     frame = int(np.ceil(2.0 * sr / xcfg.fmin_search))
     lag_min = max(2, int(np.floor(sr / xcfg.fmax_search)))
@@ -286,13 +350,11 @@ def f0_extract(y: np.ndarray, cfg: MelConfig, xcfg: F0ExtractConfig | None = Non
     padded = np.pad(y, frame)
     segs = np.lib.stride_tricks.sliding_window_view(padded, frame)[start : start + n_frames * hop : hop]
     segs = segs - segs.mean(axis=1, keepdims=True)
-    corr = _normalized_autocorrelation(segs, lag_min, lag_max)
+    corr, first = _first_peaks(segs, lag_min, lag_max, xcfg.voicing_threshold, chunk)
 
-    inner = corr[:, 1:-1]
-    peak = (inner > corr[:, :-2]) & (inner >= corr[:, 2:]) & (inner >= xcfg.voicing_threshold)
-    voiced = peak.any(axis=1)
+    voiced = first > 0
     rows = np.flatnonzero(voiced)
-    j = peak[rows].argmax(axis=1) + 1  # first peak, as an index into corr
+    j = first[rows]
     c0, c1, c2 = corr[rows, j - 1], corr[rows, j], corr[rows, j + 1]
     f0 = np.zeros(n_frames)
     # c1 > c0 and c1 >= c2, so the parabola's curvature c0 - 2 c1 + c2 is < 0
@@ -332,7 +394,13 @@ def f0_rmse(f0_ref, voiced_ref, f0_syn, voiced_syn) -> tuple[float, float, int]:
     f0_syn = np.asarray(f0_syn, dtype=np.float64)
     if f0_ref.shape != f0_syn.shape:
         raise ValidationError(f"f0_rmse: frame counts differ, {f0_ref.shape} vs {f0_syn.shape}")
-    both = np.asarray(voiced_ref, dtype=bool) & np.asarray(voiced_syn, dtype=bool)
+    voiced_ref = np.asarray(voiced_ref, dtype=bool)
+    voiced_syn = np.asarray(voiced_syn, dtype=bool)
+    if voiced_ref.shape != f0_ref.shape or voiced_syn.shape != f0_ref.shape:
+        raise ValidationError(
+            f"f0_rmse: voicing masks {voiced_ref.shape} and {voiced_syn.shape} do not match f0 {f0_ref.shape}"
+        )
+    both = voiced_ref & voiced_syn
     if not both.any():
         raise ValidationError("f0_rmse: no mutually voiced frames")
     r, s = f0_ref[both], f0_syn[both]

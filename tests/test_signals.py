@@ -6,10 +6,13 @@ import pytest
 from latentflow import autodiff as ad
 from latentflow.exceptions import ValidationError
 from latentflow.signals import (
+    MCD_SCALE,
     F0ExtractConfig,
     MelConfig,
     MelSpectrogram,
     SingingSpec,
+    _f0_extract,
+    _lag_energies,
     _normalized_autocorrelation,
     desk_pipeline_mel,
     dsp_synthesize,
@@ -165,9 +168,68 @@ def test_normalized_autocorrelation_matches_a_per_frame_loop():
             a, b = seg[:-lag], seg[lag:]
             denom = np.sqrt(float(a @ a) * float(b @ b))
             ref[i, j] = float(a @ b) / denom if denom > 0 else 0.0
-    got = _normalized_autocorrelation(segs, lag_min, lag_max)
+    lags = np.arange(lag_min, lag_max + 1)
+    got = _normalized_autocorrelation(segs, *_lag_energies(segs, lag_min, lag_max), lags)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
     assert not got[-4].any()
+
+
+def _render(spec, cfg, seed):
+    return dsp_synthesize(singing_f0_contour(spec, cfg), spec.harmonic_amps, spec.noise_level, cfg,
+                          np.random.default_rng(seed))
+
+
+def _tone(hz, frames, cfg, noise=0.0):
+    return dsp_synthesize(np.full(frames, hz), (1.0, 0.5, 0.25), noise, cfg, np.random.default_rng(0))
+
+
+# On DESK the lags run 4..67; at 4000/27 Hz the first peak is column 23, the
+# last of the first 24-lag chunk, and it is confirmed only by the next chunk;
+# at 4000/28 Hz it is column 24, whose left neighbour is in the first chunk.
+CHUNKED_SEARCH_SIGNALS = {
+    "vibrato+noise": lambda: _render(SingingSpec(notes=[(57, 40, 1), (64, 30, 2), (70, 50, 3)],
+                                                 vibrato_depth_cents=90.0, noise_level=0.05), DESK, 1),
+    "low-notes+noise": lambda: _render(SingingSpec(notes=[(43, 45, 1), (50, 45, 2)], noise_level=0.2), DESK, 2),
+    "silence": lambda: np.zeros(2000),
+    "white-noise": lambda: np.random.default_rng(3).standard_normal(2000),
+    "peak-at-chunk-end": lambda: _tone(4000.0 / 27, 60, DESK),
+    "peak-at-chunk-start": lambda: _tone(4000.0 / 28, 60, DESK),
+    "22k-midi48": lambda: _tone(float(midi_to_hz(48)), 40, FULL, 0.01),
+    "22k-midi60": lambda: _tone(float(midi_to_hz(60)), 40, FULL, 0.01),
+    "22k-midi72": lambda: _tone(float(midi_to_hz(72)), 40, FULL, 0.01),
+}
+
+
+@pytest.mark.parametrize("name", list(CHUNKED_SEARCH_SIGNALS))
+def test_chunked_lag_search_is_bit_identical_to_one_pass_over_every_lag(name):
+    """One chunk spanning every lag computes the whole autocorrelation and
+    then takes the first peak; every chunk size must give the same bits."""
+    cfg = FULL if name.startswith("22k") else DESK
+    y = CHUNKED_SEARCH_SIGNALS[name]()
+    xcfg = F0ExtractConfig()
+    f0_all, voiced_all = _f0_extract(y, cfg, xcfg, cfg.sample_rate)  # a lag window is shorter than 1 s
+    for chunk in (1, 2, 24):
+        f0, voiced = _f0_extract(y, cfg, xcfg, chunk)
+        np.testing.assert_array_equal(voiced, voiced_all, err_msg=f"chunk {chunk}")
+        np.testing.assert_array_equal(f0, f0_all, err_msg=f"chunk {chunk}")
+    f0, voiced = f0_extract(y, cfg)
+    np.testing.assert_array_equal(f0, f0_all)
+    np.testing.assert_array_equal(voiced, voiced_all)
+    if name in ("silence", "white-noise"):
+        assert not voiced_all.any()
+    elif name.startswith("peak-at"):
+        column = np.round(cfg.sample_rate / f0_all[voiced_all]) - 4
+        assert voiced_all.mean() > 0.8 and np.all(column == (23 if name.endswith("end") else 24))
+    else:
+        assert voiced_all.mean() > 0.8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_f0_extract_rejects_non_finite_signals(bad):
+    y = _tone(float(midi_to_hz(60)), 120, DESK)
+    y[700] = bad
+    with pytest.raises(ValidationError, match="f0_extract.*non-finite"):
+        f0_extract(y, DESK)
 
 
 # An empty range fails when the config is made (tests/test_configs.py); a
@@ -201,6 +263,34 @@ def test_f0_rmse_rejects_mismatched_or_unvoiced_inputs():
         f0_rmse(f, v, f[:9], v[:9])
     with pytest.raises(ValidationError, match="no mutually voiced"):
         f0_rmse(f, v, f, ~v)
+    for mask in (np.ones(1, dtype=bool), np.ones(11, dtype=bool), v[:, None]):
+        with pytest.raises(ValidationError, match="f0_rmse.*voicing"):
+            f0_rmse(f, mask, f, v)
+        with pytest.raises(ValidationError, match="f0_rmse.*voicing"):
+            f0_rmse(f, v, f, mask)
+
+
+# mel_cepstra is the orthonormal DCT-II of log-mel over the bands, so adding
+# delta times DCT basis vector k to every frame moves cepstral coefficient k by
+# delta and no other. The log-mel values below give cepstra 1..13 below 7 in
+# magnitude, where float64 round-off leaves the MCD within 4e-14 dB of its exact
+# value; it is held to 1e-12 dB.
+MCD_TOL = 1e-12
+
+
+def _dct_basis(n, k):
+    scale = np.sqrt((1.0 if k == 0 else 2.0) / n)
+    return scale * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
+
+
+@pytest.mark.parametrize("delta", [0.3, -1.7])
+def test_mcd_of_a_shift_along_one_dct_basis_vector(delta):
+    rng = np.random.default_rng(8)
+    ref = MelSpectrogram(rng.normal(-3.0, 2.0, (16, 40)))
+    for k in range(16):
+        syn = MelSpectrogram(ref.values + delta * _dct_basis(16, k)[:, None])
+        expected = MCD_SCALE * abs(delta) if 1 <= k <= 13 else 0.0  # 0: level; 14, 15: past the 13 coefficients
+        assert abs(mcd(ref, syn) - expected) <= MCD_TOL, k
 
 
 def test_dsp_synthesize_noise_is_the_level_times_the_callers_draws():
@@ -213,3 +303,9 @@ def test_dsp_synthesize_noise_is_the_level_times_the_callers_draws():
     np.testing.assert_array_equal(y, noise * (0.9 / np.max(np.abs(noise))))
     with pytest.raises(TypeError, match="rng"):
         dsp_synthesize(f0, (1.0,), 0.1, DESK)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_dsp_synthesize_rejects_non_finite_f0(bad):
+    with pytest.raises(ValidationError, match="dsp_synthesize.*non-finite"):
+        dsp_synthesize(np.array([200.0, bad, 200.0]), (1.0, 0.5), 0.0, DESK, np.random.default_rng(0))
