@@ -26,10 +26,15 @@ parent's median) gets a ``status``:
   parent's by more than the bound;
 - else ``within bound``.
 
-``quality_err`` is also listed per seed, and failed operations against
-attempted ones. Every run's values are kept under ``runs``. The summary of
-each workload is printed, and with ``--out`` all of them are written as one
-JSON object whose ``workloads`` maps each name to its summary.
+Every metric also gets ``max_rel_change_per_seed``, the largest
+|after - before| / |before| over the pairs, each pair being one seed. It
+shows how far a change moved a value that it should leave alone, such as a
+``quality_err`` whose spread across seeds leaves its status ``unresolved``;
+it changes no status. ``quality_err`` is also listed per seed, and failed
+operations against attempted ones. Every run's values are kept under
+``runs``. The summary of each workload is printed, and with ``--out`` all
+of them are written as one JSON object whose ``workloads`` maps each name
+to its summary.
 
 Uses the standard library only, so it runs with any Python 3.8+.
 """
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -90,6 +96,17 @@ def verdict(b: list, a: list, sign: float, bound: float) -> str:
     return "within bound"
 
 
+def max_rel_change(b: list, a: list) -> float:
+    """Largest |y - x| / |x| over the pairs (x, y); a pair that moved off a
+    parent value of 0 reads inf."""
+    def rel(x, y):
+        if y == x:
+            return 0.0
+        return abs(y - x) / abs(x) if x else math.inf
+
+    return max(rel(x, y) for x, y in zip(b, a))
+
+
 def summarize(runs: dict, better: dict, bounds: dict | None = None) -> dict:
     """Per-metric quartiles of each side, the parent's IQR, pairs won,
     whether a claim is met and, for a metric with a bound, its status."""
@@ -101,6 +118,7 @@ def summarize(runs: dict, better: dict, bounds: dict | None = None) -> dict:
         a = [r["metrics"][name] for r in after]
         entry = {"before": quartiles(b), "after": quartiles(a)}
         entry["parent_iqr"] = entry["before"]["q3"] - entry["before"]["q1"]
+        entry["max_rel_change_per_seed"] = max_rel_change(b, a)
         if name in better:
             sign = 1.0 if better[name] == "lower" else -1.0
             entry["better"] = better[name]
@@ -140,6 +158,7 @@ def report(workload: str, summary: dict) -> None:
         won = (f"  better in {m['after_better_in_pairs']}/{summary['repeats']}"
                f"  claim met: {'yes' if m['claim_met'] else 'no'}") if "better" in m else ""
         won += f"  {m['status']} ({m['bound']:g})" if "status" in m else ""
+        won += f"  max rel change per seed {m['max_rel_change_per_seed']:.3g}"
         print(f"{name:40s} before {m['before']['median']:.6g} [{m['before']['q1']:.6g}, {m['before']['q3']:.6g}]"
               f"  after {m['after']['median']:.6g} [{m['after']['q1']:.6g}, {m['after']['q3']:.6g}]"
               f"  parent IQR {m['parent_iqr']:.3g}{won}")

@@ -196,14 +196,14 @@ def decode_durations(log_durations) -> np.ndarray:
 
 
 def expand_to_frames(x, durations: np.ndarray):
-    """Repeat column i of x[:, N] durations[i] times -> [*, T]."""
-    durations = np.asarray(durations, dtype=np.int64)
+    """Repeat column i of x[:, N] durations[i] times -> [*, T]; durations are ints."""
+    durations = np.asarray(durations)
     n = ad.value(x).shape[-1]
     if durations.shape != (n,):
         raise ValidationError(f"expand_to_frames: durations of shape {durations.shape} for {n} columns")
-    if np.any(durations < 1):
-        raise ValidationError("expand_to_frames: durations must be >= 1")
-    idx = np.repeat(np.arange(len(durations)), durations)
+    if durations.dtype.kind not in "iu" or np.any(durations < 1):  # a float would be truncated
+        raise ValidationError(f"expand_to_frames: durations must be integers >= 1, got {durations!r}")
+    idx = np.repeat(np.arange(len(durations)), durations.astype(np.int64))
     return ad.transpose(ad.take_rows(ad.transpose(x, (1, 0)), idx), (1, 0))
 
 

@@ -147,9 +147,9 @@ def gaussian_flow_map(spec: GaussianTransportSpec, z0, t):
 
 
 def wasserstein1_sorted(a: np.ndarray, b: np.ndarray) -> float:
-    """1-Wasserstein distance between two equal-size 1-D samples."""
+    """1-Wasserstein distance between two equal-size, non-empty samples, each flattened."""
     a = np.sort(np.asarray(a).ravel())
     b = np.sort(np.asarray(b).ravel())
-    if a.shape != b.shape:
-        raise ValidationError(f"wasserstein1: sample sizes {a.shape} and {b.shape} differ")
+    if a.shape != b.shape or a.size == 0:
+        raise ValidationError(f"wasserstein1_sorted: sample sizes {a.size} and {b.size} differ or are 0")
     return float(np.mean(np.abs(a - b)))

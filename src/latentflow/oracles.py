@@ -62,6 +62,18 @@ def _candidates(note_token_counts: tuple, note_frame_counts: tuple) -> np.ndarra
     return cands
 
 
+# A constraint is frozen, holds read-only ids and hashes by identity, so its
+# candidates can be cached per instance; the bound keeps the cache from
+# holding every constraint alive.
+@lru_cache(maxsize=64)
+def _constraint_candidates(nb: NoteBoundaryConstraint) -> np.ndarray:
+    """_candidates for the per-note counts of ``nb``, in ascending note
+    order; the constraint has checked that both id arrays name the same
+    notes."""
+    counts = (np.unique(ids, return_counts=True)[1] for ids in (nb.token_note_id, nb.frame_note_id))
+    return _candidates(*(tuple(c.tolist()) for c in counts))
+
+
 def brute_force_align(ll, nb: NoteBoundaryConstraint):
     """Exact optimum by enumerating every feasible duration assignment.
 
@@ -74,10 +86,7 @@ def brute_force_align(ll, nb: NoteBoundaryConstraint):
     n, t = ll.shape
     if n > 6 or t > 12:  # the candidates grow combinatorially with the instance
         raise ValidationError(f"brute_force_align: instance {n}x{t} exceeds guard 6x12")
-    # per note, in ascending note order; the constraint has checked that
-    # both id arrays name the same notes
-    counts = (np.unique(ids, return_counts=True)[1] for ids in (nb.token_note_id, nb.frame_note_id))
-    cands = _candidates(*(tuple(c.tolist()) for c in counts))
+    cands = _constraint_candidates(nb)
     scores = path_score(ll, cands)
     best = int(np.argmax(scores))  # the first maximum holds the largest tie key
     return AlignmentPath(cands[best]), float(scores[best])

@@ -136,3 +136,33 @@ def test_directions_reads_bounds_of_end_to_end_metrics_only(bench_pairs, tmp_pat
     better, bounds = bench_pairs.directions(tmp_path)
     assert better == {"p50": "lower", "rate": "higher", "layer.ms": "lower"}
     assert bounds == {"p50": 0.24}
+
+
+# four seeds whose parent IQR (0.2875) is wider than a bound of 0.2 of the median (0.145)
+SPREAD = [0.5, 0.6, 0.85, 0.9]
+
+
+@pytest.mark.parametrize("after, change", [
+    (SPREAD, 0.0),
+    # two ulp on one seed reads as such, while the status stays unresolved
+    ([0.5 + 2.0**-52, 0.6, 0.85, 0.9], 2.0**-51),
+    ([0.5, 0.6, 0.85, 0.99], 0.1),  # by seed, not median against median
+])
+def test_max_rel_change_pairs_the_sides_by_seed_and_leaves_the_status_alone(bench_pairs, after, change):
+    entry = bench_pairs.summarize(_runs("quality_err", SPREAD, after), {"quality_err": "lower"},
+                                  {"quality_err": 0.2})["metrics"]["quality_err"]
+    assert entry["max_rel_change_per_seed"] == pytest.approx(change, rel=1e-12)
+    assert entry["status"] == ("identical in every pair" if after == SPREAD else "unresolved")
+
+
+def test_max_rel_change_off_a_parent_zero_is_inf(bench_pairs):
+    assert bench_pairs.max_rel_change([0.0, 1.0], [0.0, 1.0]) == 0.0
+    assert bench_pairs.max_rel_change([0.0, 1.0], [1e-9, 1.0]) == float("inf")
+
+
+def test_report_prints_the_max_rel_change_beside_the_status(bench_pairs, capsys):
+    summary = bench_pairs.summarize(_runs("quality_err", SPREAD, [0.5 + 2.0**-52, 0.6, 0.85, 0.9]),
+                                    {"quality_err": "lower"}, {"quality_err": 0.2})
+    bench_pairs.report("eval", summary)
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("quality_err"))
+    assert line.endswith("unresolved (0.2)  max rel change per seed 4.44e-16")

@@ -158,6 +158,14 @@ def test_expand_to_frames():
         expand_to_frames(x3, np.array([2, 1, 1, 1]))
 
 
+@pytest.mark.parametrize("durations", [[1.5, 2.5], [2.0, 3.0], [np.nan, 2.0], [True, True]],
+                         ids=["fractions", "whole-floats", "nan", "bool"])
+def test_expand_to_frames_rejects_durations_that_are_not_integers(durations):
+    """A float was cast to int64, so [1.5, 2.5] became [1, 2] frames."""
+    with pytest.raises(ValidationError, match="expand_to_frames: durations must be integers"):
+        expand_to_frames(np.array([[1.0, 2.0], [3.0, 4.0]]), np.asarray(durations))
+
+
 def test_sample_reparam_monte_carlo_moments():
     g = DiagonalGaussianSeq(np.zeros((1, 100_000)), np.zeros((1, 100_000)))
     z = sample_reparam(g, np.random.default_rng(1))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -310,3 +312,12 @@ def test_wasserstein_sorted_estimate():
     b = np.array([1.0, 2.0, 3.0])
     assert wasserstein1_sorted(a, b) == pytest.approx(1.0)
     assert wasserstein1_sorted(b, a) == pytest.approx(1.0)
+
+
+def test_wasserstein_sorted_rejects_empty_samples():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # it warned "Mean of empty slice" and returned NaN
+        with pytest.raises(ValidationError, match="wasserstein1_sorted"):
+            wasserstein1_sorted(np.array([]), np.array([]))
+    with pytest.raises(ValidationError, match="wasserstein1_sorted: sample sizes 2 and 3"):
+        wasserstein1_sorted(np.zeros(2), np.zeros(3))

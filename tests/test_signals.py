@@ -1,3 +1,5 @@
+import math
+import warnings
 import wave
 
 import numpy as np
@@ -174,6 +176,32 @@ def test_normalized_autocorrelation_matches_a_per_frame_loop():
     assert not got[-4].any()
 
 
+@pytest.mark.parametrize("cfg", [DESK, FULL], ids=["desk", "22k"])
+def test_lag_energies_are_the_sums_of_squares_of_each_lag_slice(cfg):
+    """a.a and b.b against an exactly rounded sum of each frame's slices, on
+    silent, noise and tone rows; the autocorrelation of a silent row is 0
+    with no warning."""
+    xcfg = F0ExtractConfig()
+    width = int(np.ceil(2.0 * cfg.sample_rate / xcfg.fmin_search))
+    lag_min = max(2, int(np.floor(cfg.sample_rate / xcfg.fmax_search)))
+    lag_max = min(width - 1, int(np.ceil(cfg.sample_rate / xcfg.fmin_search)))
+    t = np.arange(width) / cfg.sample_rate
+    segs = np.vstack([np.zeros(width), np.random.default_rng(9).standard_normal(width),
+                      np.sin(2 * np.pi * 220.0 * t) + 0.5 * np.sin(2 * np.pi * 440.0 * t)])
+    segs = segs - segs.mean(axis=1, keepdims=True)
+    lags = np.arange(lag_min, lag_max + 1)
+    a_energy, b_energy = _lag_energies(segs, lag_min, lag_max)
+    assert a_energy.shape == b_energy.shape == (len(segs), len(lags))
+    a_ref = [[math.fsum(seg[:-lag] ** 2) for lag in lags] for seg in segs]
+    b_ref = [[math.fsum(seg[lag:] ** 2) for lag in lags] for seg in segs]
+    np.testing.assert_allclose(a_energy, a_ref, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(b_energy, b_ref, rtol=1e-13, atol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        corr = _normalized_autocorrelation(segs, a_energy, b_energy, lags)
+    assert np.all(corr[0] == 0.0) and np.isfinite(corr).all()
+
+
 def _render(spec, cfg, seed):
     return dsp_synthesize(singing_f0_contour(spec, cfg), spec.harmonic_amps, spec.noise_level, cfg,
                           np.random.default_rng(seed))
@@ -268,6 +296,20 @@ def test_f0_rmse_rejects_mismatched_or_unvoiced_inputs():
             f0_rmse(f, mask, f, v)
         with pytest.raises(ValidationError, match="f0_rmse.*voicing"):
             f0_rmse(f, v, f, mask)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -200.0], ids=["nan", "inf", "zero", "negative"])
+def test_f0_rmse_rejects_a_voiced_f0_that_is_not_finite_and_positive(bad):
+    f, v = np.full(10, 200.0), np.ones(10, dtype=bool)
+    g = f.copy()
+    g[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in ((g, v, f, v), (f, v, g, v)):
+            with pytest.raises(ValidationError, match="f0_rmse.*finite and > 0"):
+                f0_rmse(*args)
+        v[3] = False  # an unvoiced frame's f0 is not read
+        assert f0_rmse(g, v, f, v) == (0.0, 0.0, 9)
 
 
 # mel_cepstra is the orthonormal DCT-II of log-mel over the bands, so adding
