@@ -167,6 +167,8 @@ def reshape(x, shape) -> Tensor | np.ndarray:
 def transpose(x, axes) -> Tensor | np.ndarray:
     xv = value(x)
     axes = tuple(axes)
+    if sorted(axes) != list(range(xv.ndim)):
+        raise ValidationError(f"transpose: axes {axes} are not a permutation of the axes of shape {xv.shape}")
     inv = tuple(np.argsort(axes))
     return _make("transpose", xv.transpose(axes).copy(), (x, lambda g: g.transpose(inv)))
 
@@ -448,53 +450,19 @@ def conv_transpose1d(x, w, bias=None, stride: int = 1) -> Tensor | np.ndarray:
                  (w, lambda g: _dense_w(xv, correlate(g)[1]).reshape(wv.shape)), (bias, lambda g: g.sum(axis=(0, 2))))
 
 
-def frame_signal(x, frame: int, hop: int) -> Tensor | np.ndarray:
-    """Frame a 1-D signal into [n_frames, frame] with the shape law
-    n_frames = 1 + (len - frame) // hop."""
-    xv = value(x)
-    if xv.ndim != 1:
-        raise ValidationError(f"frame_signal: expected 1-D signal, got shape {xv.shape}")
-    _check_count("frame_signal", "frame", frame, 1)
-    _check_count("frame_signal", "hop", hop, 1)
-    L = xv.shape[0]
-    if L < frame:
-        raise ValidationError(f"frame_signal: signal of {L} samples shorter than frame {frame}")
-    n = 1 + (L - frame) // hop
-    out = _im2col(xv, frame, 1, hop, n).T.copy()
-
-    def vjp(g):
-        # Overlap-add in whole-hop blocks: block b adds g[:, b*hop : (b+1)*hop]
-        # to rows b..b+n-1 of the signal seen as [rows, hop]. Each sample gets
-        # its terms in the order of a per-sample loop, so the sum is the same.
-        blocks = -(-frame // hop)
-        gx = np.zeros((n + blocks, hop))
-        for b in range(blocks):
-            w = min(hop, frame - b * hop)
-            gx[b : b + n, :w] += g[:, b * hop : b * hop + w]
-        return gx.reshape(-1)[:L]
-
-    return _make("frame_signal", out, (x, vjp))
-
-
 _MAG_FLOOR = 1e-30  # keeps the magnitude differentiable at silent bins
 
 
-def rfft_magnitude(x, n: int) -> Tensor | np.ndarray:
-    """Magnitude spectrum |rfft(x, n)| of each row of x[F, W], W <= n, with
-    the rows zero-padded to n: [F, n//2 + 1] values sqrt(re^2 + im^2 + 1e-30).
-
-    VJP: n * irfft(g * X / |X| * w) cut to W samples, where w is 1 at the DC
-    and Nyquist bins and 1/2 at the interior bins, which irfft counts twice.
-    """
+def magnitude(x) -> Tensor | np.ndarray:
+    """Magnitudes sqrt(re^2 + im^2 + 1e-30) [B, N, F] of x[B, 2N, F], whose
+    first N rows are real parts and last N rows the imaginary parts."""
     xv = value(x)
-    if xv.ndim != 2 or xv.shape[1] > n:
-        raise ValidationError(f"rfft_magnitude: expected [frames, width <= {n}] input, got shape {xv.shape}")
-    spec = np.fft.rfft(xv, n=n, axis=1)
-    out = np.sqrt(spec.real * spec.real + spec.imag * spec.imag + _MAG_FLOOR)
-
-    def vjp(g):
-        y = (g / out) * spec
-        y[:, 1 : (n + 1) // 2] *= 0.5
-        return n * np.fft.irfft(y, n=n, axis=1)[:, : xv.shape[1]]
-
-    return _make("rfft_magnitude", out, (x, vjp))
+    if xv.ndim != 3 or xv.shape[1] % 2:
+        raise ValidationError(f"magnitude: expected [batch, 2N, frames] input, got shape {xv.shape}")
+    B, N2, F = xv.shape
+    parts = xv.reshape(B, 2, N2 // 2, F)
+    sq = parts * parts
+    out = np.add(sq[:, 0], sq[:, 1], out=sq[:, 0])
+    out += _MAG_FLOOR
+    np.sqrt(out, out=out)
+    return _make("magnitude", out, (x, lambda g: (parts * (g / out)[:, None]).reshape(xv.shape)))

@@ -20,7 +20,8 @@ _LOG_VAR_MIN, _LOG_VAR_MAX = -14.0, 6.0
 class ScoreCondition:
     """Per-position score features: phoneme token, note pitch (MIDI), note
     duration in frames, and a note id for boundary constraints. Checked
-    once at construction and stored as read-only int64 copies."""
+    once at construction, where a value that is not a finite integer
+    fails, and stored as read-only int64 copies."""
 
     tokens: np.ndarray
     note_pitch: np.ndarray
@@ -29,7 +30,10 @@ class ScoreCondition:
 
     def __post_init__(self):
         for name in ("tokens", "note_pitch", "note_duration", "note_id"):
-            a = np.array(getattr(self, name), dtype=np.int64)
+            v = np.asarray(getattr(self, name))
+            if v.dtype.kind not in "biu" and not np.all(np.isfinite(v) & (v == np.trunc(v))):
+                raise ValidationError(f"score condition: {name} must hold finite integers, got {v!r}")
+            a = np.array(v, dtype=np.int64)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         self.validate()

@@ -109,14 +109,19 @@ def solve(rhs, z0: np.ndarray, cfg: SolverConfig | None = None):
     0.9 * err^(-1/5) is clamped to [0.2, 5.0] and the step to max_step.
     A step is also cut to what is left of [0, 1], so none passes max_step,
     and t is set to exactly 1 when a step lands within 1e-12 of it. More
-    than 20 consecutive rejected steps raise NumericalError.
+    than 20 consecutive rejected steps raise NumericalError. An empty
+    state, or a first rhs value not shaped like the state, is rejected.
     """
     cfg = cfg or SolverConfig()
     z = np.asarray(z0, dtype=np.float64)
+    if not z.size:
+        raise ValidationError(f"solve: empty state of shape {z.shape}")
     stats = SolveStats()
     t = 0.0
     h = cfg.max_step  # validated to lie in (0, 1]
     k1 = rhs(z, t)
+    if np.shape(k1) != z.shape:
+        raise ValidationError(f"solve: rhs returned shape {np.shape(k1)} for a state of shape {z.shape}")
     stats.rhs_evals += 1
     rejected_run = 0
     while t < 1.0:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -106,13 +107,11 @@ OP_CASES = [
     ("pad_last", lambda x, y: ad.pad_last(ad.mul(x, y), 2, 1)),
     ("reshape", lambda x, y: ad.reshape(ad.mul(x, y), (4, 3))),
     ("transpose", lambda x, y: ad.transpose(ad.mul(x, y), (1, 0))),
-    ("frame_signal", lambda x, y: ad.frame_signal(ad.reshape(ad.mul(x, y), (12,)), 5, 2)),
     ("conv_transpose1d", lambda x, y: ad.conv_transpose1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (3, 1, 4)), stride=2)),
     ("conv1d_strided_padded", lambda x, y: ad.conv1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (2, 3, 2)), stride=2, padding=1)),
     ("conv1d_dilated", lambda x, y: ad.conv1d(ad.reshape(x, (1, 2, 6)), ad.reshape(y, (2, 2, 3)), dilation=2)),
     ("conv1d_depthwise", lambda x, y: ad.conv1d(ad.reshape(x, (1, 3, 4)), ad.reshape(y, (3, 1, 4)), dilation=2, groups=3)),
-    ("rfft_magnitude", lambda x, y: ad.rfft_magnitude(ad.mul(x, y), 8)),
-    ("rfft_magnitude_odd_n", lambda x, y: ad.rfft_magnitude(ad.mul(x, y), 7)),
+    ("magnitude", lambda x, y: ad.magnitude(ad.reshape(ad.mul(x, y), (2, 2, 3)))),
 ]
 
 
@@ -226,21 +225,6 @@ def test_leaky_relu_vjp_is_bit_identical_to_the_select_form():
         loss = ad.total(ad.mul(ad.leaky_relu(x), g))
     (gx,) = ad.grad(loss, [x], tape)
     assert np.array_equal(gx, np.where(xv > 0, g, 0.1 * g))
-
-
-@pytest.mark.parametrize("frame,hop", [(16, 16), (64, 16), (128, 32), (5, 2), (3, 7), (10, 3)])
-def test_frame_signal_vjp_is_bit_identical_to_the_per_sample_loop(frame, hop):
-    rng = np.random.default_rng([frame, hop])
-    x = ad.Tensor(rng.standard_normal(301))
-    n = 1 + (301 - frame) // hop
-    g = rng.standard_normal((n, frame)) * 10.0 ** rng.integers(-8, 8, size=(n, frame))
-    with ad.Tape() as tape:
-        loss = ad.total(ad.mul(ad.frame_signal(x, frame, hop), g))
-    (gx,) = ad.grad(loss, [x], tape)
-    expected = np.zeros(301)
-    for k in range(frame):
-        expected[k : k + hop * n : hop] += g[:, k]
-    assert np.array_equal(gx, expected)
 
 
 @pytest.mark.parametrize("cin,cout,k,stride", [(3, 2, 4, 2), (16, 8, 8, 4), (2, 5, 3, 1), (1, 1, 5, 3)])
@@ -452,8 +436,6 @@ ARGUMENT_CASES = [
                  id="conv_transpose1d-stride=0-K=0"),
     pytest.param("conv_transpose1d", "stride", lambda: ad.conv_transpose1d(_X, _WT, stride=-2),
                  id="conv_transpose1d-stride=-2"),
-    pytest.param("frame_signal", "hop", lambda: ad.frame_signal(np.zeros(20), 5, 0), id="frame_signal-hop=0"),
-    pytest.param("frame_signal", "frame", lambda: ad.frame_signal(np.zeros(20), 0, 4), id="frame_signal-frame=0"),
     pytest.param("pad_last", "before", lambda: ad.pad_last(_X, -1, 0), id="pad_last-before=-1"),
     pytest.param("pad_last", "after", lambda: ad.pad_last(_X, 0, -1), id="pad_last-after=-1"),
     pytest.param("narrow", "length", lambda: ad.narrow(np.ones((2, 6)), 1, 2, -1), id="narrow-length=-1"),
@@ -521,6 +503,19 @@ def test_shape_mismatch_error_names_op():
         ad.reshape(a, (4,))
     with pytest.raises(ValidationError, match=r"^narrow: axis 2 out of range for shape \(2, 3\)"):
         ad.narrow(a, 2, 0, 1)
+
+
+@pytest.mark.parametrize("axes", [(0, 0), (0, 2), (1, 0, 2), (-1, 0), (0,)],
+                         ids=["repeated", "out_of_range", "too_many", "negative", "too_few"])
+def test_transpose_rejects_axes_that_are_not_a_permutation(axes):
+    with pytest.raises(ValidationError, match=rf"^transpose: axes {re.escape(str(axes))} are not a permutation"):
+        ad.transpose(ad.Tensor(np.zeros((2, 3))), axes)
+
+
+def test_magnitude_rejects_an_odd_row_count_or_a_rank_other_than_three():
+    for shape in [(1, 3, 4), (4, 5)]:
+        with pytest.raises(ValidationError, match=r"^magnitude: expected \[batch, 2N, frames\] input"):
+            ad.magnitude(np.ones(shape))
 
 
 def test_replay_is_bit_identical():

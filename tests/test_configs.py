@@ -30,6 +30,8 @@ CASES = {
     "SingingSpec-noise_negative": (SingingSpec, _NOTES, {"noise_level": -0.01}, "must be finite and >= 0"),
     "SingingSpec-phase_nan": (SingingSpec, _NOTES, {"vibrato_phase": _NAN}, "phase and harmonic amplitudes must be"),
     "SingingSpec-amps_nan": (SingingSpec, _NOTES, {"harmonic_amps": (1.0, _NAN)}, "phase and harmonic amplitudes"),
+    "SingingSpec-pitch_nan": (SingingSpec, _NOTES, {"notes": [(_NAN, 4, 1)]}, "note pitches must be finite"),
+    "SingingSpec-pitch_inf": (SingingSpec, _NOTES, {"notes": [(60, 4, 1), (np.inf, 2, 1)]}, "note pitches must be finite"),
     "SolverConfig-max_step": (SolverConfig, {}, {"max_step": 0.0}, "max_step must be in"),
     "SolverConfig-tol": (SolverConfig, {}, {"tol": -1.0}, "tolerance must be positive"),
     "SolverConfig-tol_nan": (SolverConfig, {}, {"tol": _NAN}, "tolerance must be positive"),
@@ -39,6 +41,13 @@ CASES = {
     "OptimizerConfig-lr_final_zero": (OptimizerConfig, {}, {"lr_final": 0.0}, "learning rates must be finite and > 0"),
     "LatentConfig": (LatentConfig, {}, {"hidden": 0}, "hidden must be >= 1"),
     "ScoreCondition": (ScoreCondition, _SCORE, {"tokens": [1]}, "share one nonzero length"),
+    "ScoreCondition-pitch_fraction": (ScoreCondition, _SCORE, {"note_pitch": [60.7, 61]},
+                                      r"note_pitch must hold finite integers, got array\(\[60\.7, 61\. *\]\)"),
+    "ScoreCondition-duration_fraction": (ScoreCondition, _SCORE, {"note_duration": [2, 1.5]},
+                                         "note_duration must hold finite integers"),
+    "ScoreCondition-pitch_nan": (ScoreCondition, _SCORE, {"note_pitch": [60, _NAN]}, "note_pitch must hold finite"),
+    "ScoreCondition-id_inf": (ScoreCondition, _SCORE, {"note_id": [0, np.inf]}, "note_id must hold finite integers"),
+    "ScoreCondition-tokens_nan": (ScoreCondition, _SCORE, {"tokens": [_NAN, 2]}, "tokens must hold finite integers"),
     "VectorFieldConfig": (VectorFieldConfig, {}, {"dropout_p": 1.0}, "dropout must be in"),
     "DecoderConfig": (DecoderConfig, {}, {"upsample_kernels": (8,)}, "one kernel per upsample rate"),
     "DiscriminatorConfig": (DiscriminatorConfig, {}, {"stft_hops": (16,)}, "one hop per stft size"),
@@ -69,6 +78,11 @@ def test_bad_value_fails_at_construction_and_fields_are_frozen(cls, good, bad, m
 def test_singing_spec_rejects_a_note_that_is_not_a_triple(notes):
     with pytest.raises(ValidationError, match=r"singing spec: each note must be a \(midi, frames, token_id\) triple"):
         SingingSpec(notes=notes)
+
+
+def test_score_condition_keeps_integral_floats():
+    sc = ScoreCondition([1.0, 2.0], np.array([60.0, 61.0]), [2, 3], [0, 1])
+    assert sc.note_pitch.tolist() == [60, 61] and sc.tokens.dtype == np.int64
 
 
 def test_containers_are_copied_so_a_caller_cannot_change_them_after_the_check():

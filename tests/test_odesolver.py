@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from latentflow.exceptions import NumericalError
+from latentflow.exceptions import NumericalError, ValidationError
 from latentflow.flowmatch import GaussianTransportSpec
 from latentflow.odesolver import _A, _C, _E, SolverConfig, dopri5_step, solve
 from latentflow.oracles import gaussian_oracle_velocity
@@ -129,6 +129,18 @@ def test_solve_gives_up_after_20_consecutive_rejections():
 
     with pytest.raises(NumericalError, match="21 consecutive rejected steps at t=0"):
         solve(rhs, np.array(1.0))
+
+
+def test_solve_rejects_an_empty_state_before_any_rhs_call():
+    calls = []
+    with pytest.raises(ValidationError, match=r"^solve: empty state of shape \(0, 3\)$"):
+        solve(lambda z, t: calls.append(t) or z, np.zeros((0, 3)))
+    assert calls == []
+
+
+def test_solve_rejects_an_rhs_that_returns_the_wrong_shape():
+    with pytest.raises(ValidationError, match=r"^solve: rhs returned shape \(3,\) for a state of shape \(2, 3\)$"):
+        solve(lambda z, t: z[0], np.ones((2, 3)))
 
 
 def test_solve_calls_rhs_once_at_the_start_and_six_times_a_step():

@@ -13,6 +13,7 @@ from latentflow.signals import (
     MelConfig,
     MelSpectrogram,
     SingingSpec,
+    _dft_bank,
     _f0_extract,
     _lag_energies,
     _normalized_autocorrelation,
@@ -49,6 +50,45 @@ def test_stft_matches_numpy_rfft_reference(cfg):
     assert isinstance(got, ad.Tensor) and got.shape == ref.shape == (cfg.fft_size // 2 + 1, n_frames)
     np.testing.assert_allclose(got.data, ref, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(stft_magnitude(y, cfg), got.data)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SMALL, desk_pipeline_mel(), MelConfig(sample_rate=8000, fft_size=63, window_size=63, hop_size=21,
+                                           mel_bands=8, fmax=4000.0),
+     MelConfig(sample_rate=4000, fft_size=64, window_size=64, hop_size=16, mel_bands=1, fmax=2000.0),
+     MelConfig(sample_rate=4000, fft_size=128, window_size=128, hop_size=32, mel_bands=1, fmax=2000.0)],
+    ids=["small", "desk", "odd_fft", "disc64", "disc128"],
+)
+def test_stft_input_gradient_matches_the_rfft_adjoint(cfg):
+    """The waveform gradient of sum(g * |STFT|) against numpy's FFT: each
+    frame's gradient is n * irfft(g X / |X|), halved on the interior bins
+    that irfft counts twice, cut to the window, windowed and overlap-added."""
+    rng = np.random.default_rng(cfg.fft_size)
+    y = rng.standard_normal(cfg.window_size + 9 * cfg.hop_size + 5)
+    W, n = cfg.window_size, cfg.fft_size
+    starts = cfg.hop_size * np.arange(cfg.frame_count(len(y)))
+    spec = np.fft.rfft(y[starts[:, None] + np.arange(W)] * periodic_hann(W), n=n, axis=1)
+    g = rng.standard_normal(spec.shape)
+    scaled = g * spec / np.abs(spec)
+    scaled[:, 1 : (n + 1) // 2] *= 0.5
+    frame_grads = n * np.fft.irfft(scaled, n=n, axis=1)[:, :W] * periodic_hann(W)
+    expected = np.zeros_like(y)
+    for s, fg in zip(starts, frame_grads):
+        expected[s : s + W] += fg
+    x = ad.Tensor(y)
+    with ad.Tape() as tape:
+        loss = ad.total(ad.mul(stft_magnitude(x, cfg), g.T))
+    (gx,) = ad.grad(loss, [x], tape)
+    np.testing.assert_allclose(gx, expected, rtol=1e-11, atol=1e-11)
+
+
+def test_dft_bank_is_cached_read_only_per_window_and_size():
+    bank = _dft_bank(16, 64)
+    assert bank.shape == (66, 1, 16) and not bank.flags.writeable
+    assert _dft_bank(16, 64) is bank and _dft_bank(16, 32) is not bank
+    # the sine rows of bin 0 and of the Nyquist bin are zero, as rfft's imaginary parts there
+    assert not bank[33].any() and np.abs(bank[65]).max() < 1e-15
 
 
 def test_stft_rejects_bad_signals():
