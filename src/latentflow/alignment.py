@@ -80,7 +80,7 @@ class AlignmentPath:
 
     def __post_init__(self):
         d = np.array(self.durations, dtype=np.int64)
-        if d.ndim != 1 or np.any(d < 1):
+        if d.ndim != 1 or (d.size and d.min() < 1):
             raise ValidationError(f"alignment path: durations must be 1-D and >= 1, got shape {d.shape}")
         d.flags.writeable = False
         object.__setattr__(self, "durations", d)
@@ -161,6 +161,6 @@ def duration_loss(d_target: np.ndarray, log_d_pred):
     pv = ad.value(log_d_pred)
     if d_target.shape != pv.shape:
         raise ValidationError(f"duration_loss: lengths {d_target.shape} and {pv.shape} differ")
-    if np.any(d_target < 1):
-        raise ValidationError("duration_loss: target durations must be >= 1")
+    if not (np.isfinite(d_target).all() and np.all(d_target >= 1)):
+        raise ValidationError("duration_loss: target durations must be finite and >= 1")
     return ad.mean(ad.square(ad.sub(log_d_pred, np.log(d_target))))

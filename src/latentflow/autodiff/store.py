@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import ValidationError
+from ..exceptions import NumericalError, ValidationError
 from .tensor import Tensor, Tape, grad
 
 # Adam's moment decay rates and denominator floor
@@ -85,6 +85,10 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], lr: float = 2e-4)
     flat moments, and each parameter then subtracts its view of the flat
     step. Adam is elementwise, so each element sees the arithmetic of a
     per-parameter update, in the same order.
+
+    A non-finite ``lr`` or gradient value is rejected, naming the step and
+    the first bad parameter, before the moments or the step count change,
+    so a failed step leaves the store as it was.
     """
     names = store.names()
     params = []
@@ -96,8 +100,13 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], lr: float = 2e-4)
             raise ValidationError(f"adam_step: gradient for parameter {name!r} has {grads[name].size} values, not {p.size}")
         params.append(p)
     g = np.concatenate([grads[n] for n in names], axis=None)
-    store.step_count += 1
-    t = store.step_count
+    t = store.step_count + 1
+    if not np.isfinite(lr):
+        raise ValidationError(f"adam_step: learning rate {lr} at step {t} is not finite")
+    if not np.isfinite(g).all():
+        bad = next(n for n in names if not np.isfinite(grads[n]).all())
+        raise NumericalError(f"adam_step: non-finite gradient for parameter {bad!r} at step {t}")
+    store.step_count = t
     c1 = 1.0 - _BETA1**t
     c2 = 1.0 - _BETA2**t
     new = g.size - store._m.size  # parameters created since the last step

@@ -152,4 +152,6 @@ def wasserstein1_sorted(a: np.ndarray, b: np.ndarray) -> float:
     b = np.sort(np.asarray(b).ravel())
     if a.shape != b.shape or a.size == 0:
         raise ValidationError(f"wasserstein1_sorted: sample sizes {a.size} and {b.size} differ or are 0")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("wasserstein1_sorted: samples must be finite")
     return float(np.mean(np.abs(a - b)))

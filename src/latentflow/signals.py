@@ -11,6 +11,7 @@ depend on the chunk size."""
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,15 +263,36 @@ class F0ExtractConfig:
 # (p50 -4%); in-process, 32 and one chunk of every lag are 10% and 43% slower than 16.
 _LAG_CHUNK = 16
 
+# This thread's f0_extract buffer, grown to the largest call's need and kept:
+# frame-sized temporaries freed after each call came back as fresh zeroed pages.
+_SCRATCH = threading.local()
+
+
+def _scratch(n: int, frame: int, width: int) -> tuple[np.ndarray, ...]:
+    """Four disjoint views of this thread's scratch buffer: the demeaned
+    frames [n, frame], then a.a, b.b and corr, each [n, width]. One shape
+    always maps to the same memory, so the views that different steps of a
+    call take agree; the buffer only grows, to n * (frame + 3 * width)."""
+    need = n * (frame + 3 * width)
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < need:
+        buf = _SCRATCH.buf = np.empty(need)
+    rest = buf[n * frame : need].reshape(3, n, width)
+    return buf[: n * frame].reshape(n, frame), rest[0], rest[1], rest[2]
+
 
 def _lag_energies(segs: np.ndarray, lag_min: int, lag_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a.a, b.b) as [frame, lag - lag_min] views, with a = seg[:-lag] and
-    b = seg[lag:]: the dot of the part every lag shares, plus a cumsum from
-    lag_max down to lag_min of seg[-lag - 1]**2 or seg[lag]**2; sums only."""
+    """(a.a, b.b) as [frame, lag - lag_min] views of the scratch buffer, with
+    a = seg[:-lag] and b = seg[lag:]: the dot of the part every lag shares,
+    plus a cumsum from lag_max down to lag_min of seg[-lag - 1]**2 or
+    seg[lag]**2; sums only."""
+    _, a_energy, b_energy, _ = _scratch(*segs.shape, lag_max - lag_min + 1)
     head, tail = segs[:, : -lag_max - 1], segs[:, lag_max + 1 :]
-    a_energy = np.cumsum(np.square(segs[:, -lag_max - 1 : -lag_min]), axis=1)
+    np.square(segs[:, -lag_max - 1 : -lag_min], out=a_energy)
+    np.cumsum(a_energy, axis=1, out=a_energy)
     a_energy += np.vecdot(head, head)[:, None]
-    b_energy = np.cumsum(np.square(segs[:, lag_max : lag_min - 1 : -1]), axis=1)
+    np.square(segs[:, lag_max : lag_min - 1 : -1], out=b_energy)
+    np.cumsum(b_energy, axis=1, out=b_energy)
     b_energy += np.vecdot(tail, tail)[:, None]
     return a_energy[:, ::-1], b_energy[:, ::-1]
 
@@ -292,8 +314,9 @@ def _normalized_autocorrelation(segs: np.ndarray, a_energy: np.ndarray, b_energy
 def _first_peaks(segs: np.ndarray, lag_min: int, lag_max: int, threshold: float,
                  chunk: int) -> tuple[np.ndarray, np.ndarray]:
     """(corr, first): the normalized autocorrelation over lags
-    lag_min..lag_max and, per frame, the column of its first strict local
-    maximum that reaches ``threshold``, or 0 for none.
+    lag_min..lag_max, a view of the scratch buffer, and, per frame, the
+    column of its first strict local maximum that reaches ``threshold``, or
+    0 for none.
 
     Lags are computed ``chunk`` at a time, each chunk only for the frames
     with no peak yet; a peak at column j counts once column j + 1 exists.
@@ -302,7 +325,7 @@ def _first_peaks(segs: np.ndarray, lag_min: int, lag_max: int, threshold: float,
     first peak do not depend on ``chunk``."""
     a_energy, b_energy = _lag_energies(segs, lag_min, lag_max)
     lags = np.arange(lag_min, lag_max + 1)
-    corr = np.empty(a_energy.shape)
+    corr = _scratch(*segs.shape, len(lags))[3]
     first = np.zeros(len(segs), dtype=np.intp)
     frames = np.arange(len(segs))
     rows = slice(None)  # the first chunk runs on every frame, ungathered
@@ -341,8 +364,13 @@ def f0_extract(y: np.ndarray, cfg: MelConfig, xcfg: F0ExtractConfig | None = Non
     unvoiced. Lags are searched in chunks, and a frame stops at its first
     confirmed peak; the output does not depend on the chunk size.
 
-    Returns (f0_hz, voiced), with f0 0 on unvoiced frames. A signal with a
-    non-finite sample is rejected.
+    Returns (f0_hz, voiced), with f0 0 on unvoiced frames; both are fresh
+    arrays. A signal with a non-finite sample is rejected.
+
+    The frame-sized temporaries live in one float64 buffer per thread, kept
+    between calls and grown to the largest call's n * (frame + 3 L) * 8
+    bytes for n frames and L lags: 1.7 MB at 650 desk frames (frame 134,
+    L = 64), about 12 MB for 10 s at ``MelConfig()`` (frame 735, L = 347).
     """
     return _f0_extract(y, cfg, xcfg or F0ExtractConfig(), _LAG_CHUNK)
 
@@ -371,8 +399,9 @@ def _f0_extract(y, cfg: MelConfig, xcfg: F0ExtractConfig, chunk: int):
     left = (frame - cfg.window_size) // 2
     start = frame - left  # frame 0 in a signal padded by ``frame`` zeros on each side
     padded = np.pad(y, frame)
-    segs = np.lib.stride_tricks.sliding_window_view(padded, frame)[start : start + n_frames * hop : hop]
-    segs = segs - segs.mean(axis=1, keepdims=True)
+    framed = np.lib.stride_tricks.sliding_window_view(padded, frame)[start : start + n_frames * hop : hop]
+    segs = np.subtract(framed, framed.mean(axis=1, keepdims=True),
+                       out=_scratch(n_frames, frame, lag_max - lag_min + 1)[0])
     corr, first = _first_peaks(segs, lag_min, lag_max, xcfg.voicing_threshold, chunk)
 
     voiced = first > 0
@@ -405,6 +434,8 @@ def mcd(x_ref: MelSpectrogram, x_syn: MelSpectrogram) -> float:
         raise ValidationError(
             f"mcd: frame-aligned inputs required, got {x_ref.values.shape} vs {x_syn.values.shape}"
         )
+    if not (np.isfinite(x_ref.values).all() and np.isfinite(x_syn.values).all()):
+        raise ValidationError("mcd: mel values must be finite")
     c_ref = mel_cepstra(x_ref)
     c_syn = mel_cepstra(x_syn)
     dist = np.sqrt(np.sum((c_ref - c_syn) ** 2, axis=0))

@@ -255,6 +255,12 @@ def test_duration_loss_log_domain():
         assert duration_loss(tgt, pred) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_duration_loss_rejects_non_finite_targets(bad):
+    with pytest.raises(ValidationError, match="^duration_loss: target durations must be finite"):
+        duration_loss(np.array([2.0, bad, 3.0]), np.zeros(3))
+
+
 def test_duration_loss_tensor_mode():
     tgt = np.array([2.0, 3.0])
     pred = np.log(np.array([2.0, 3.0]))

@@ -618,6 +618,31 @@ def test_adam_rejects_a_gradient_of_the_wrong_size():
     assert np.array_equal(w.data, [1.0, 2.0]) and np.array_equal(v.data, [3.0, 4.0, 5.0]) and store.step_count == 0
 
 
+@pytest.mark.parametrize(
+    "bad, lr, error, message",
+    [(np.nan, 1e-2, NumericalError, "non-finite gradient for parameter 'v' at step 3"),
+     (-np.inf, 1e-2, NumericalError, "non-finite gradient for parameter 'v' at step 3"),
+     (0.5, np.nan, ValidationError, "learning rate nan at step 3 is not finite")],
+    ids=["nan_grad", "inf_grad", "nan_lr"],
+)
+def test_adam_rejects_a_non_finite_step_and_leaves_the_store_as_it_was(bad, lr, error, message):
+    rng = np.random.default_rng(41)
+    store = ad.ParamStore()
+    shapes = {"w": (2, 3), "v": (4,), "u": (1,)}
+    for name, shape in shapes.items():
+        store.create(name, rng.standard_normal(shape))
+    for _ in range(2):
+        ad.adam_step(store, {n: rng.standard_normal(s) for n, s in shapes.items()}, lr=1e-2)
+    params = {n: store[n].data.copy() for n in shapes}
+    m, v = store._m.copy(), store._v.copy()
+    grads = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    grads["v"][2] = grads["u"][0] = bad  # the error names v, the first in names() order
+    with pytest.raises(error, match=re.escape(f"adam_step: {message}")):
+        ad.adam_step(store, grads, lr=lr)
+    assert all(np.array_equal(store[n].data, params[n]) for n in shapes)
+    assert np.array_equal(store._m, m) and np.array_equal(store._v, v) and store.step_count == 2
+
+
 def _adam_reference(p, moments, g, t, lr):
     """One Adam step on one parameter, written per parameter as the update
     is defined: the reference for the flat update."""

@@ -314,6 +314,14 @@ def test_wasserstein_sorted_estimate():
     assert wasserstein1_sorted(b, a) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_wasserstein_sorted_rejects_non_finite_samples(bad):
+    a = np.array([0.0, 1.0, 2.0])
+    for x, y in ((a, np.array([1.0, bad, 3.0])), (np.array([bad, 1.0, 2.0]), a)):
+        with pytest.raises(ValidationError, match="^wasserstein1_sorted: samples must be finite"):
+            wasserstein1_sorted(x, y)
+
+
 def test_wasserstein_sorted_rejects_empty_samples():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # it warned "Mean of empty slice" and returned NaN

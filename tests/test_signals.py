@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 import wave
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from latentflow import autodiff as ad
+from latentflow import signals
 from latentflow.exceptions import ValidationError
 from latentflow.signals import (
     MCD_SCALE,
@@ -130,6 +132,17 @@ def test_mcd_is_zero_on_identical_inputs_and_symmetric():
     assert mcd(a, a) == 0.0
     assert mcd(a, b) > 0.0
     assert mcd(a, b) == mcd(b, a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_mcd_rejects_non_finite_mels(bad):
+    rng = np.random.default_rng(3)
+    a = MelSpectrogram(rng.standard_normal((16, 30)))
+    values = rng.standard_normal((16, 30))
+    values[4, 7] = bad
+    for x, y in ((a, MelSpectrogram(values)), (MelSpectrogram(values), a)):
+        with pytest.raises(ValidationError, match="^mcd: mel values must be finite"):
+            mcd(x, y)
 
 
 def test_wav_round_trip_within_one_quantization_step(tmp_path):
@@ -312,6 +325,51 @@ def test_f0_extract_rejects_empty_search_ranges(xcfg):
 def test_f0_extract_rejects_short_signals():
     with pytest.raises(ValidationError, match="f0_extract.*shorter"):
         f0_extract(np.zeros(F0_FRAME - 1), DESK)
+
+
+def _desk_song(frames_per_note, seed):
+    notes = [(pitch, frames, k + 1) for k, (pitch, frames) in enumerate(zip((55, 62, 48, 67), frames_per_note))]
+    return _render(SingingSpec(notes=notes, vibrato_depth_cents=60.0, noise_level=0.05), DESK, seed)
+
+
+def test_f0_extract_returns_no_view_of_its_scratch_buffer():
+    """Wave a, a longer wave (the buffer grows), a shorter one, then a again:
+    each result equals the one a fresh thread's buffer gives, a's two
+    results are equal, no result changes under the later calls, and none
+    shares memory with the thread's buffer."""
+    a = _desk_song((40, 30, 50, 40), 4)
+    waves = [a, _desk_song((200, 150, 180, 120), 5), _desk_song((20, 20, 15, 10), 6), a]
+    fresh = []
+    for y in waves[:3]:
+        worker = threading.Thread(target=lambda y=y: fresh.append(f0_extract(y, DESK)))
+        worker.start()
+        worker.join()
+    fresh.append(fresh[0])
+    results = []
+    for y in waves:
+        out = f0_extract(y, DESK)
+        assert not any(np.shares_memory(x, signals._SCRATCH.buf) for x in out)
+        results.append((out, tuple(x.copy() for x in out)))
+    for (out, copy), expected in zip(results, fresh):
+        for got, kept, want in zip(out, copy, expected):
+            np.testing.assert_array_equal(got, kept)
+            np.testing.assert_array_equal(got, want)
+    for first, last in zip(results[0][0], results[3][0]):
+        np.testing.assert_array_equal(first, last)
+
+
+def test_repeated_f0_extract_takes_almost_no_page_faults():
+    """After one warm-up call, the frame-sized temporaries of 20 calls on a
+    650-frame desk wave reuse the thread's buffer instead of faulting in
+    fresh pages (about 480 faults per call without it)."""
+    resource = pytest.importorskip("resource")
+    y = _desk_song((200, 150, 180, 120), 4)
+    assert DESK.frame_count(len(y)) == 650
+    f0_extract(y, DESK)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        f0_extract(y, DESK)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 20
 
 
 def test_f0_rmse_measures_a_known_shift():
