@@ -334,13 +334,7 @@ def _dense_t(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _dense_w(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Adjoint of _dense in the weight: g[B, Cout, T] against the windows
-    [B, Cin*K, T] -> [Cout, Cin*K]. With fewer frames than window rows
-    (T < Cin*K) B is folded into T for one matmul, which at T=1 replaces B
-    rank-1 products; otherwise one batched matmul is summed over B, which
-    reads long frame axes faster than the folded copy."""
-    B, CK, T = cols.shape
-    if T < CK:
-        return np.moveaxis(g, 0, 1).reshape(g.shape[1], B * T) @ np.moveaxis(cols, 0, 1).reshape(CK, B * T).T
+    [B, Cin*K, T] -> [Cout, Cin*K], one batched matmul summed over B."""
     return (g @ cols.transpose(0, 2, 1)).sum(0)
 
 

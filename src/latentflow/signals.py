@@ -15,7 +15,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from . import autodiff as ad
 from .exceptions import ValidationError
@@ -41,6 +40,8 @@ class MelConfig:
             raise ValidationError(f"mel: window {self.window_size} exceeds fft size {self.fft_size}")
         if self.hop_size <= 0 or self.window_size <= 0:
             raise ValidationError("mel: hop and window must be positive")
+        if self.mel_bands < 1:
+            raise ValidationError(f"mel: mel_bands must be >= 1, got {self.mel_bands}")
 
     def frame_count(self, n_samples: int) -> int:
         if n_samples < self.window_size:
@@ -149,8 +150,12 @@ def mel_transform_t(y, cfg: MelConfig):
 
 
 def mel_transform(y, cfg: MelConfig) -> MelSpectrogram:
-    """Log-mel spectrogram of a waveform, taken as a constant."""
-    return MelSpectrogram(mel_transform_t(ad.value(y), cfg))
+    """Log-mel spectrogram of a waveform, taken as a constant; a signal with
+    a non-finite sample is rejected."""
+    y = ad.value(y)
+    if not np.isfinite(y).all():
+        raise ValidationError(f"mel_transform: signal has {np.count_nonzero(~np.isfinite(y))} non-finite samples")
+    return MelSpectrogram(mel_transform_t(y, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +179,9 @@ def dsp_synthesize(
     Harmonic k gets amplitude harmonic_amps[k-1]; phase accumulates from a
     sample-interpolated f0. White noise of standard deviation noise_level,
     drawn from ``rng``, is added and the result is peak-normalized to 0.9.
-    Any harmonic at or above the analysis fmax is rejected as aliasing, and
-    a non-finite f0 is rejected.
+    Any harmonic at or above the analysis fmax is rejected as aliasing, as
+    are an f0 that is not finite and >= 0, a non-finite harmonic amplitude
+    and a noise level that is not finite and >= 0.
     """
     f0_frames = np.asarray(f0_frames, dtype=np.float64)
     harmonic_amps = np.atleast_1d(np.asarray(harmonic_amps, dtype=np.float64))
@@ -183,6 +189,14 @@ def dsp_synthesize(
         raise ValidationError(
             f"dsp_synthesize: f0 contour has {np.count_nonzero(~np.isfinite(f0_frames))} non-finite frames"
         )
+    if np.any(f0_frames < 0):
+        raise ValidationError(f"dsp_synthesize: f0 contour has {np.count_nonzero(f0_frames < 0)} negative frames")
+    if not np.isfinite(harmonic_amps).all():
+        raise ValidationError(
+            f"dsp_synthesize: {np.count_nonzero(~np.isfinite(harmonic_amps))} harmonic amplitudes are not finite"
+        )
+    if not 0 <= noise_level < np.inf:  # a NaN fails it too
+        raise ValidationError(f"dsp_synthesize: noise level {noise_level} must be finite and >= 0")
     n_harm = len(harmonic_amps)
     if n_harm and f0_frames.size and float(f0_frames.max()) * n_harm >= cfg.fmax:
         raise ValidationError(
@@ -256,6 +270,10 @@ class F0ExtractConfig:
             raise ValidationError(
                 f"f0 extract config: search range [{self.fmin_search}, {self.fmax_search}] Hz "
                 "needs 0 < fmin < fmax"
+            )
+        if not 0 < self.voicing_threshold < 1:  # a NaN fails it too
+            raise ValidationError(
+                f"f0 extract config: voicing threshold {self.voicing_threshold} needs 0 < threshold < 1"
             )
 
 
@@ -418,13 +436,24 @@ def _f0_extract(y, cfg: MelConfig, xcfg: F0ExtractConfig, chunk: int):
 # metrics
 
 
+@functools.lru_cache
+def _dct_bank(bands: int) -> np.ndarray:
+    """Rows 1.._MCD_COEFFS of the orthonormal type-II DCT matrix
+    [_MCD_COEFFS, bands], sqrt(2/M) cos(pi k (2m + 1) / 2M) for M bands,
+    built once per band count and shared read-only."""
+    k = np.arange(1, _MCD_COEFFS + 1)[:, None]
+    bank = np.sqrt(2.0 / bands) * np.cos((np.pi / (2 * bands)) * k * (2 * np.arange(bands) + 1))
+    bank.flags.writeable = False
+    return bank
+
+
 def mel_cepstra(mel: MelSpectrogram) -> np.ndarray:
     """Coefficients 1..13 of the orthonormal type-II DCT of log-mel per
     frame (coefficient 0 carries overall level and is excluded)."""
-    c = dct(mel.values, type=2, norm="ortho", axis=0)
-    if _MCD_COEFFS >= c.shape[0]:
-        raise ValidationError(f"mcd: {_MCD_COEFFS} coefficients requested from {c.shape[0]} bands")
-    return c[1 : _MCD_COEFFS + 1]
+    bands = mel.values.shape[0]
+    if _MCD_COEFFS >= bands:
+        raise ValidationError(f"mcd: {_MCD_COEFFS} coefficients requested from {bands} bands")
+    return _dct_bank(bands) @ mel.values
 
 
 def mcd(x_ref: MelSpectrogram, x_syn: MelSpectrogram) -> float:

@@ -70,6 +70,14 @@ class VectorFieldConfig:
     cond_channels: int = 4  # 0 = endpoint-only conditioning
 
     def __post_init__(self):
+        if self.latent_channels < 1 or self.hidden < 1:
+            raise ValidationError(
+                f"vector field: latent_channels and hidden must be >= 1, got {self.latent_channels} and {self.hidden}"
+            )
+        if self.cond_channels < 0:
+            raise ValidationError(f"vector field: cond_channels must be >= 0, got {self.cond_channels}")
+        if self.time_embed_dim < 2 or self.time_embed_dim % 2:
+            raise ValidationError(f"vector field: time_embed_dim must be even and >= 2, got {self.time_embed_dim}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValidationError(f"vector field: dropout must be in [0, 1), got {self.dropout_p}")
 

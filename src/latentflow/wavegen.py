@@ -14,8 +14,14 @@ from .signals import MelConfig, stft_magnitude
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
-    """Mono 16-bit PCM RIFF output; samples are clipped to [-1, 1]."""
-    pcm = np.round(np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0) * 32767.0).astype("<i2")
+    """Mono 16-bit PCM RIFF output; samples are clipped to [-1, 1]. A
+    signal that is not 1-D or has a non-finite sample is rejected."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1:
+        raise ValidationError(f"write_wav: expected 1-D samples, got shape {samples.shape}")
+    if not np.isfinite(samples).all():
+        raise ValidationError(f"write_wav: signal has {np.count_nonzero(~np.isfinite(samples))} non-finite samples")
+    pcm = np.round(np.clip(samples, -1.0, 1.0) * 32767.0).astype("<i2")
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)

@@ -23,6 +23,8 @@ CASES = {
     "MelConfig": (MelConfig, {}, {"fmax": 20000.0}, "exceeds Nyquist"),
     "MelConfig-fmax_nan": (MelConfig, {}, {"fmax": _NAN}, "is not positive or exceeds Nyquist"),
     "MelConfig-fmax_negative": (MelConfig, {}, {"fmax": -100.0}, "is not positive or exceeds Nyquist"),
+    "MelConfig-bands_zero": (MelConfig, {}, {"mel_bands": 0}, "mel_bands must be >= 1, got 0"),
+    "MelConfig-bands_negative": (MelConfig, {}, {"mel_bands": -1}, "mel_bands must be >= 1, got -1"),
     "SingingSpec": (SingingSpec, _NOTES, {"notes": []}, "durations >= 1 frame"),
     "SingingSpec-rate_nan": (SingingSpec, _NOTES, {"vibrato_rate_hz": _NAN}, "must be finite and >= 0"),
     "SingingSpec-depth_nan": (SingingSpec, _NOTES, {"vibrato_depth_cents": _NAN}, "must be finite and >= 0"),
@@ -49,6 +51,14 @@ CASES = {
     "ScoreCondition-id_inf": (ScoreCondition, _SCORE, {"note_id": [0, np.inf]}, "note_id must hold finite integers"),
     "ScoreCondition-tokens_nan": (ScoreCondition, _SCORE, {"tokens": [_NAN, 2]}, "tokens must hold finite integers"),
     "VectorFieldConfig": (VectorFieldConfig, {}, {"dropout_p": 1.0}, "dropout must be in"),
+    "VectorFieldConfig-latent_zero": (VectorFieldConfig, {}, {"latent_channels": 0},
+                                      "latent_channels and hidden must be >= 1"),
+    "VectorFieldConfig-hidden_zero": (VectorFieldConfig, {}, {"hidden": 0}, "latent_channels and hidden must be >= 1"),
+    "VectorFieldConfig-cond_negative": (VectorFieldConfig, {}, {"cond_channels": -1}, "cond_channels must be >= 0"),
+    "VectorFieldConfig-embed_odd": (VectorFieldConfig, {}, {"time_embed_dim": 15},
+                                    "time_embed_dim must be even and >= 2"),
+    "VectorFieldConfig-embed_zero": (VectorFieldConfig, {}, {"time_embed_dim": 0},
+                                    "time_embed_dim must be even and >= 2"),
     "DecoderConfig": (DecoderConfig, {}, {"upsample_kernels": (8,)}, "one kernel per upsample rate"),
     "DiscriminatorConfig": (DiscriminatorConfig, {}, {"stft_hops": (16,)}, "one hop per stft size"),
     "GaussianTransportSpec-zero": (GaussianTransportSpec, {}, {"s": 0.0}, "stds must be positive"),
@@ -61,6 +71,10 @@ CASES = {
     "F0-fmin_negative": (F0ExtractConfig, {}, {"fmin_search": -50.0}, "needs 0 < fmin < fmax"),
     "F0-fmin_above_fmax": (F0ExtractConfig, {"fmax_search": 400.0}, {"fmin_search": 500.0}, "needs 0 < fmin < fmax"),
     "F0-fmin_nan": (F0ExtractConfig, {}, {"fmin_search": float("nan")}, "needs 0 < fmin < fmax"),
+    "F0-threshold_nan": (F0ExtractConfig, {}, {"voicing_threshold": _NAN}, "needs 0 < threshold < 1"),
+    "F0-threshold_two": (F0ExtractConfig, {}, {"voicing_threshold": 2.0}, "needs 0 < threshold < 1"),
+    "F0-threshold_negative": (F0ExtractConfig, {}, {"voicing_threshold": -3.0}, "needs 0 < threshold < 1"),
+    "F0-threshold_one": (F0ExtractConfig, {}, {"voicing_threshold": 1.0}, "needs 0 < threshold < 1"),
 }
 
 

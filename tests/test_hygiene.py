@@ -4,11 +4,14 @@ every public name has a caller outside the tests, only the tests import
 the oracles, every differentiable op has a finite-difference test, every
 raise is a ValidationError or a NumericalError, every dataclass is checked
 when it is made and not at each use, the imports match the declared
-dependencies, and every console script declared in pyproject.toml resolves
-to a callable."""
+dependencies, importing every module of the package loads no scipy, and
+every console script declared in pyproject.toml resolves to a callable."""
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from collections import Counter
@@ -303,3 +306,22 @@ def test_imports_match_the_declared_dependencies():
     siblings = {p.stem for p in tests}  # a test module may import another one
     assert _third_party_imports(tests) - siblings <= runtime | dev
     assert _third_party_imports([ROOT / "scripts" / "bench_pairs.py"]) == set()
+
+
+def test_importing_every_module_of_the_package_loads_no_scipy():
+    """numpy is the only runtime dependency, so a fresh process that imports
+    every module of the package never loads scipy."""
+    code = (
+        "import importlib, json, pkgutil, sys\n"
+        "import latentflow\n"
+        "names = [m.name for m in pkgutil.walk_packages(latentflow.__path__, 'latentflow.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps([names, sorted(n for n in sys.modules if n.split('.')[0] == 'scipy')]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    names, scipy_modules = json.loads(run.stdout)
+    assert {"latentflow.signals", "latentflow.oracles", "latentflow.autodiff.ops"} <= set(names)
+    assert scipy_modules == []

@@ -5,6 +5,7 @@ import wave
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 
 from latentflow import autodiff as ad
 from latentflow import signals
@@ -15,6 +16,7 @@ from latentflow.signals import (
     MelConfig,
     MelSpectrogram,
     SingingSpec,
+    _dct_bank,
     _dft_bank,
     _f0_extract,
     _lag_energies,
@@ -24,6 +26,7 @@ from latentflow.signals import (
     f0_extract,
     f0_rmse,
     mcd,
+    mel_cepstra,
     mel_filterbank,
     mel_transform,
     mel_transform_t,
@@ -100,6 +103,14 @@ def test_stft_rejects_bad_signals():
         mel_transform(np.zeros(SMALL.window_size - 1), SMALL)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_mel_transform_rejects_non_finite_samples(bad):
+    y = np.random.default_rng(2).standard_normal(200)
+    y[37] = bad
+    with pytest.raises(ValidationError, match="^mel_transform: signal has 1 non-finite samples"):
+        mel_transform(y, SMALL)
+
+
 def test_mel_transform_t_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     store = ad.ParamStore()
@@ -125,6 +136,22 @@ def test_mel_filterbank_is_cached_read_only_per_config():
     assert not fb.flags.writeable
 
 
+@pytest.mark.parametrize("bands", [14, 16, 80])
+def test_dct_bank_is_the_orthonormal_dct_ii_rows_1_to_13_cached_read_only(bands):
+    bank = _dct_bank(bands)
+    ref = dct(np.eye(bands), type=2, norm="ortho", axis=0)[1:14]
+    assert bank.shape == ref.shape == (13, bands) and not bank.flags.writeable
+    assert np.abs(bank - ref).max() <= 1e-14
+    assert _dct_bank(bands) is bank
+
+
+@pytest.mark.parametrize("bands", [16, 80])
+def test_mel_cepstra_match_scipy_dct_on_random_log_mels(bands):
+    values = np.random.default_rng(bands).normal(-3.0, 2.0, (bands, 50))
+    ref = dct(values, type=2, norm="ortho", axis=0)[1:14]
+    assert np.abs(mel_cepstra(MelSpectrogram(values)) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_mcd_is_zero_on_identical_inputs_and_symmetric():
     rng = np.random.default_rng(3)
     a = MelSpectrogram(rng.standard_normal((16, 30)))
@@ -143,6 +170,18 @@ def test_mcd_rejects_non_finite_mels(bad):
     for x, y in ((a, MelSpectrogram(values)), (MelSpectrogram(values), a)):
         with pytest.raises(ValidationError, match="^mcd: mel values must be finite"):
             mcd(x, y)
+
+
+@pytest.mark.parametrize("samples, message", [
+    (np.array([0.1, np.nan, -0.2]), "^write_wav: signal has 1 non-finite samples"),
+    (np.array([0.1, -np.inf]), "^write_wav: signal has 1 non-finite samples"),
+    (np.zeros((2, 10)), r"^write_wav: expected 1-D samples, got shape \(2, 10\)"),
+], ids=["nan", "inf", "2-D"])
+def test_write_wav_rejects_bad_samples_before_writing(tmp_path, samples, message):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValidationError, match=message):
+        write_wav(path, samples, 4000)
+    assert not path.exists()
 
 
 def test_wav_round_trip_within_one_quantization_step(tmp_path):
@@ -449,3 +488,19 @@ def test_dsp_synthesize_noise_is_the_level_times_the_callers_draws():
 def test_dsp_synthesize_rejects_non_finite_f0(bad):
     with pytest.raises(ValidationError, match="dsp_synthesize.*non-finite"):
         dsp_synthesize(np.array([200.0, bad, 200.0]), (1.0, 0.5), 0.0, DESK, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("f0, amps, noise, message", [
+    (np.array([200.0, -1.0, 200.0]), (1.0,), 0.0, "f0 contour has 1 negative frames"),
+    (np.array([200.0, 200.0]), (1.0, np.nan), 0.0, "1 harmonic amplitudes are not finite"),
+    (np.array([200.0, 200.0]), (1.0,), np.nan, "noise level nan must be finite and >= 0"),
+    (np.array([200.0, 200.0]), (1.0,), -0.1, "noise level -0.1 must be finite and >= 0"),
+], ids=["negative_f0", "amp_nan", "noise_nan", "noise_negative"])
+def test_dsp_synthesize_rejects_bad_pitch_amplitude_and_noise(f0, amps, noise, message):
+    with pytest.raises(ValidationError, match="^dsp_synthesize: " + message):
+        dsp_synthesize(f0, amps, noise, DESK, np.random.default_rng(0))
+
+
+def test_dsp_synthesize_accepts_an_f0_of_zero():
+    y = dsp_synthesize(np.array([0.0, 200.0, 0.0]), (1.0,), 0.0, DESK, np.random.default_rng(0))
+    assert y.shape == (3 * DESK.hop_size,) and np.isfinite(y).all() and y.any()
